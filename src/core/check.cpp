@@ -67,6 +67,31 @@ struct ThreadState {
 
 using ArcKey = std::pair<ThreadId, ThreadId>;
 
+/// How often each declared arc fired, in one flat array: arc i of
+/// producer p (its i-th entry in `consumers`, which ProgramBuilder
+/// keeps duplicate-free) lives at first_[p] + i.
+class ArcCounts {
+ public:
+  explicit ArcCounts(const Program& program)
+      : first_(program.num_threads() + std::size_t{1}, 0) {
+    for (ThreadId t = 0; t < program.num_threads(); ++t) {
+      first_[t + 1] = first_[t] + program.thread(t).consumers.size();
+    }
+    counts_.assign(first_.back(), 0);
+  }
+
+  std::uint32_t& at(ThreadId producer, std::size_t arc) {
+    return counts_[first_[producer] + arc];
+  }
+  std::uint32_t at(ThreadId producer, std::size_t arc) const {
+    return counts_[first_[producer] + arc];
+  }
+
+ private:
+  std::vector<std::size_t> first_;
+  std::vector<std::uint32_t> counts_;
+};
+
 /// Happens-before footprint race detection. Ancestor bitsets are
 /// filled per block in topological order of the *declared* intra-block
 /// arcs, but only edges whose update actually *fired* in the trace
@@ -77,9 +102,7 @@ using ArcKey = std::pair<ThreadId, ThreadId>;
 /// previous-block completion - so each block's roots inherit all
 /// earlier blocks as ancestors; rc>0 threads inherit them through
 /// their producers.
-void check_races(const Program& program,
-                 const std::vector<ThreadState>& st,
-                 const std::map<ArcKey, std::uint32_t>& fired,
+void check_races(const Program& program, const ArcCounts& fired,
                  const CheckOptions& options, Collector& out,
                  CheckReport& report) {
   const std::uint32_t n = program.num_app_threads();
@@ -93,9 +116,12 @@ void check_races(const Program& program,
   // Observed producer lists (app -> app; arcs into Outlets carry no
   // footprint and are skipped).
   std::vector<std::vector<ThreadId>> preds(n);
-  for (const auto& [key, count] : fired) {
-    if (count != 0 && key.first < n && key.second < n) {
-      preds[key.second].push_back(key.first);
+  for (ThreadId p = 0; p < n; ++p) {
+    const std::vector<ThreadId>& consumers = program.thread(p).consumers;
+    for (std::size_t i = 0; i < consumers.size(); ++i) {
+      if (fired.at(p, i) != 0 && consumers[i] < n) {
+        preds[consumers[i]].push_back(p);
+      }
     }
   }
 
@@ -209,7 +235,6 @@ void check_races(const Program& program,
               msg.str());
     }
   }
-  (void)st;
 }
 
 }  // namespace
@@ -248,16 +273,24 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
   CheckReport report;
   Collector out(report, options);
 
-  std::vector<TraceRecord> records = trace.records;
-  std::stable_sort(records.begin(), records.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) {
-                     return a.seq < b.seq;
-                   });
+  // Replay in seq order. Recorded and loaded traces already are
+  // (TraceLog merges its seq-ordered lanes, load_trace sorts); only
+  // traces assembled by hand pay for a sorted copy.
+  const auto by_seq = [](const TraceRecord& a, const TraceRecord& b) {
+    return a.seq < b.seq;
+  };
+  std::vector<TraceRecord> sorted;
+  const std::vector<TraceRecord>* records = &trace.records;
+  if (!std::is_sorted(records->begin(), records->end(), by_seq)) {
+    sorted = trace.records;
+    std::stable_sort(sorted.begin(), sorted.end(), by_seq);
+    records = &sorted;
+  }
 
   const std::uint32_t n_threads = program.num_threads();
   const std::uint32_t n_blocks = program.num_blocks();
   std::vector<ThreadState> st(n_threads);
-  std::map<ArcKey, std::uint32_t> fired;
+  ArcCounts fired(program);
   std::vector<std::uint64_t> outlet_done_seq(n_blocks,
                                              CheckFinding::kNoSeq);
   std::uint32_t outlet_done_next = 0;
@@ -271,9 +304,10 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
     shard_map = ShardMap::clustered(trace.kernels, trace.shards);
   }
 
-  // Data-plane replay: drive a fresh DataPlane with the recorded
-  // schedule so the run's forward/affinity stats reconcile against the
-  // trace (DataPlaneTally above).
+  // Data-plane replay: drive a fresh execution record over the
+  // Program's shared tables with the recorded schedule, so the run's
+  // forward/affinity stats reconcile against the trace (DataPlaneTally
+  // above).
   std::unique_ptr<DataPlane> dataplane;
   if (trace.dataplane) {
     dataplane = std::make_unique<DataPlane>(
@@ -289,17 +323,16 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
                           std::uint64_t seq) {
     const DThread& p = program.thread(producer);
     const DThread& c = program.thread(consumer);
-    const bool declared =
-        std::find(p.consumers.begin(), p.consumers.end(), consumer) !=
-        p.consumers.end();
-    if (!declared) {
+    const auto arc =
+        std::find(p.consumers.begin(), p.consumers.end(), consumer);
+    if (arc == p.consumers.end()) {
       out.add(CheckDiag::kUndeclaredArc, producer, consumer, p.block, seq,
               "update " + thread_ref(program, producer) + " -> " +
                   thread_ref(program, consumer) +
                   " travels along no declared Synchronization Graph "
                   "arc");
     } else {
-      std::uint32_t& count = fired[{producer, consumer}];
+      std::uint32_t& count = fired.at(producer, arc - p.consumers.begin());
       if (++count == 2) {
         out.add(CheckDiag::kDuplicateUpdate, producer, consumer, p.block,
                 seq,
@@ -336,7 +369,7 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
     }
   };
 
-  for (const TraceRecord& r : records) {
+  for (const TraceRecord& r : *records) {
     ++report.records_checked;
     if (out.full()) {
       report.truncated = true;
@@ -495,7 +528,7 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
           // One bulk forward per arc run, batched the way the recorded
           // run batched its updates (the trace's coalesce mode).
           for (const ForwardRun& run :
-               dataplane->forward_runs(r.a, trace.coalesce)) {
+               dataplane->tables().forward_runs(r.a, trace.coalesce)) {
             ++report.dataplane.forwards;
             report.dataplane.bytes_forwarded += run.bytes;
           }
@@ -602,9 +635,9 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
                        : " was dispatched but never completed"));
     }
     if (t.is_application() && s.completes > 0) {
-      for (ThreadId c : t.consumers) {
-        auto it = fired.find({tid, c});
-        if (it == fired.end() || it->second == 0) {
+      for (std::size_t i = 0; i < t.consumers.size(); ++i) {
+        const ThreadId c = t.consumers[i];
+        if (fired.at(tid, i) == 0) {
           out.add(CheckDiag::kMissingUpdate, tid, c, t.block,
                   CheckFinding::kNoSeq,
                   "declared arc " + thread_ref(program, tid) + " -> " +
@@ -629,7 +662,7 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
       // No room left for race findings: the pass would only drop them.
       report.truncated = true;
     } else {
-      check_races(program, st, fired, options, out, report);
+      check_races(program, fired, options, out, report);
     }
   }
   return report;

@@ -1,6 +1,8 @@
 #include "core/dataplane.h"
 
 #include <algorithm>
+#include <memory>
+#include <mutex>
 #include <utility>
 
 namespace tflux::core {
@@ -26,17 +28,10 @@ std::uint64_t footprint_overlap_bytes(const Footprint& producer,
   return total;
 }
 
-DataPlane::DataPlane(const Program& program, const ShardMap* shards)
-    : program_(program),
-      shards_(shards),
-      contributions_(program.num_threads()),
+DataPlaneTables::DataPlaneTables(const Program& program)
+    : contributions_(program.num_threads()),
       forwards_(program.num_threads()),
-      unit_forwards_(program.num_threads()),
-      exec_kernel_(new std::atomic<KernelId>[program.num_threads()]) {
-  for (ThreadId t = 0; t < program.num_threads(); ++t) {
-    exec_kernel_[t].store(kInvalidKernel, std::memory_order_relaxed);
-  }
-
+      unit_forwards_(program.num_threads()) {
   auto overlap = [&program](ThreadId p, ThreadId c) -> std::uint64_t {
     const DThread& pt = program.thread(p);
     const DThread& ct = program.thread(c);
@@ -44,7 +39,7 @@ DataPlane::DataPlane(const Program& program, const ShardMap* shards)
     return footprint_overlap_bytes(pt.footprint, ct.footprint);
   };
 
-  // Same-block arcs: consumer lists and the PR 5 precomputed runs.
+  // Same-block arcs: consumer lists and the builder's consumer runs.
   for (const DThread& t : program.threads()) {
     if (!t.is_application()) continue;
     for (const DThread::ConsumerRun& run : t.consumer_runs) {
@@ -95,6 +90,30 @@ DataPlane::DataPlane(const Program& program, const ShardMap* shards)
   }
 }
 
+const DataPlaneTables& Program::dataplane_tables() const {
+  // Programs are immutable after ProgramBuilder, so the tables never go
+  // stale; the lock makes concurrent first users build them once.
+  std::lock_guard<std::mutex> lock(tables_cache_.mutex);
+  if (!tables_cache_.tables) {
+    tables_cache_.tables = std::make_shared<const DataPlaneTables>(*this);
+  }
+  return *tables_cache_.tables;
+}
+
+DataPlane::DataPlane(const Program& program, const ShardMap* shards)
+    : program_(program),
+      tables_(program.dataplane_tables()),
+      shards_(shards),
+      exec_kernel_(new std::atomic<KernelId>[program.num_threads()]) {
+  rewind();
+}
+
+void DataPlane::rewind() {
+  for (ThreadId t = 0; t < program_.num_threads(); ++t) {
+    exec_kernel_[t].store(kInvalidKernel, std::memory_order_relaxed);
+  }
+}
+
 namespace {
 
 /// Warm bytes per kernel for one consumer, deduplicated into a small
@@ -124,7 +143,7 @@ void collect_warm(const std::vector<Contribution>& contribs,
 
 AffinityScore DataPlane::score(ThreadId consumer) const {
   static thread_local WarmList touched;
-  collect_warm(contributions_[consumer], exec_kernel_.get(), touched);
+  collect_warm(tables_.contributions(consumer), exec_kernel_.get(), touched);
   AffinityScore s;
   for (const auto& [k, b] : touched) {
     s.total_bytes += b;
@@ -139,7 +158,7 @@ AffinityScore DataPlane::score(ThreadId consumer) const {
 DataPlane::DispatchAccount DataPlane::account_dispatch(ThreadId consumer,
                                                        KernelId target) const {
   static thread_local WarmList touched;
-  collect_warm(contributions_[consumer], exec_kernel_.get(), touched);
+  collect_warm(tables_.contributions(consumer), exec_kernel_.get(), touched);
   DispatchAccount account;
   std::uint64_t target_bytes = 0;
   std::uint64_t max_bytes = 0;

@@ -1,29 +1,33 @@
 // SharedVariableBuffer data plane: the managed view of DThread
 // footprints. The paper's Cell port moves DThread data explicitly (DMA
 // into Local Stores); commodity TFluxSoft leans on implicit shared
-// memory, which hides *where* each shared variable is warm. The
-// DataPlane recovers that information:
+// memory, which hides *where* each shared variable is warm. The data
+// plane recovers that information in two halves:
 //
-//   - statically, it intersects every producer's write ranges with
-//     every consumer's read ranges (over both same-block and
-//     cross-block arcs) to learn how many bytes each arc carries, and
-//     groups each producer's consumers into *forward runs* - the PR 5
-//     coalesced [lo, hi] range runs reused as bulk-forwarding batch
-//     boundaries, one forward per run instead of one per consumer;
-//   - dynamically, it records which kernel executed each producer
-//     (the owner of that producer's written ranges) so dispatch can
-//     score a consumer's warm bytes per kernel and place it where the
-//     largest share of its input is already resident.
+//   - DataPlaneTables (static, one per Program): every producer's
+//     write ranges intersected with every consumer's read ranges (over
+//     both same-block and cross-block arcs) to learn how many bytes
+//     each arc carries, and each producer's consumers grouped into
+//     *forward runs* - the coalesced [lo, hi] range runs reused as
+//     bulk-forwarding batch boundaries, one forward per run instead of
+//     one per consumer. The tables depend only on the Program, so they
+//     are built once, on first use, and shared by every run of it
+//     (Program::dataplane_tables);
+//   - DataPlane (dynamic, one per run): the execution record of which
+//     kernel executed each producer (the owner of that producer's
+//     written ranges), so dispatch can score a consumer's warm bytes
+//     per kernel and place it where the largest share of its input is
+//     already resident. rewind() clears it for the next run.
 //
-// Zero-byte footprint ranges (PR 1 keeps them, warn-only) are skipped
-// here explicitly: a forward run whose payload is empty is dropped at
-// build time, so bulk forwarding never issues a zero-length copy.
+// Zero-byte footprint ranges (kept by the builder, warn-only) are
+// skipped explicitly: a forward run whose payload is empty is dropped
+// at build time, so bulk forwarding never issues a zero-length copy.
 //
-// The same DataPlane instance serves three masters that must agree:
-// the native runtime's emulator/kernels (live stats), the simulated
-// machine's TsuState (affinity policy), and check_trace's offline
-// replay (reconciling the runtime's counters against an independent
-// re-derivation from the trace).
+// The same tables serve three masters that must agree: the native
+// runtime's emulator/kernels (live stats), the simulated machine's
+// TsuState (affinity policy), and check_trace's offline replay
+// (reconciling the runtime's counters against an independent
+// re-derivation from the trace). Each drives its own record.
 #pragma once
 
 #include <atomic>
@@ -72,13 +76,11 @@ struct AffinityScore {
   std::uint64_t total_bytes = 0;  ///< warm bytes across all kernels
 };
 
-class DataPlane {
+/// The program-static half: per-arc payloads and forward runs. Built
+/// once per Program (Program::dataplane_tables) and immutable after.
+class DataPlaneTables {
  public:
-  /// `shards` (optional) maps kernels to topology shards for the
-  /// cross_shard_bytes accounting; it must outlive the DataPlane.
-  DataPlane(const Program& program, const ShardMap* shards = nullptr);
-
-  // -- static tables ---------------------------------------------------
+  explicit DataPlaneTables(const Program& program);
 
   /// Producers feeding `consumer` (same-block and cross-block arcs),
   /// with per-arc payload bytes. Arcs whose footprints do not overlap
@@ -88,7 +90,7 @@ class DataPlane {
   }
 
   /// Bulk forwards `producer` performs on completion. `coalesce` picks
-  /// the batch boundaries: true reuses the PR 5 [lo, hi] runs (one
+  /// the batch boundaries: true reuses the [lo, hi] consumer runs (one
   /// forward per run), false degrades to one forward per consumer
   /// (the unit-update ablation). Zero-payload runs are already gone.
   const std::vector<ForwardRun>& forward_runs(ThreadId producer,
@@ -96,14 +98,33 @@ class DataPlane {
     return coalesce ? forwards_[producer] : unit_forwards_[producer];
   }
 
-  // -- dynamic execution record ---------------------------------------
+ private:
+  std::vector<std::vector<Contribution>> contributions_;
+  std::vector<std::vector<ForwardRun>> forwards_;       // coalesced
+  std::vector<std::vector<ForwardRun>> unit_forwards_;  // per-consumer
+};
+
+/// The per-run half: one execution record over a Program's shared
+/// tables. Cheap to construct (one O(threads) fill); a holder that runs
+/// the same Program again calls rewind() instead.
+class DataPlane {
+ public:
+  /// `shards` (optional) maps kernels to topology shards for the
+  /// cross_shard_bytes accounting; it must outlive the DataPlane.
+  /// Builds the Program's tables on first use.
+  DataPlane(const Program& program, const ShardMap* shards = nullptr);
+
+  const DataPlaneTables& tables() const { return tables_; }
+
+  /// Forget every recorded execution (start of a new run).
+  void rewind();
 
   /// Record that `kernel` executed `tid` (and therefore owns its
   /// written ranges). Relaxed atomics: the runtime's existing TUB
   /// release/acquire handoffs and block barriers order a producer's
   /// record before any consumer scoring that could observe it. Const:
-  /// the execution record is the DataPlane's mutable plane, shared by
-  /// every kernel/emulator holding a const view of the static tables.
+  /// the record is shared by every kernel/emulator holding a const
+  /// view of the data plane.
   void record_execution(ThreadId tid, KernelId kernel) const {
     exec_kernel_[tid].store(kernel, std::memory_order_relaxed);
   }
@@ -131,15 +152,10 @@ class DataPlane {
   };
   DispatchAccount account_dispatch(ThreadId consumer, KernelId target) const;
 
-  const Program& program() const { return program_; }
-  const ShardMap* shards() const { return shards_; }
-
  private:
   const Program& program_;
+  const DataPlaneTables& tables_;
   const ShardMap* shards_;
-  std::vector<std::vector<Contribution>> contributions_;
-  std::vector<std::vector<ForwardRun>> forwards_;       // coalesced
-  std::vector<std::vector<ForwardRun>> unit_forwards_;  // per-consumer
   std::unique_ptr<std::atomic<KernelId>[]> exec_kernel_;
 };
 

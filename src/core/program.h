@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,8 @@
 #include "core/types.h"
 
 namespace tflux::core {
+
+class DataPlaneTables;  // core/dataplane.h
 
 /// A dependency arc between two DThreads in *different* blocks. Such
 /// arcs never reach the TSU: block ordering (the Inlet/Outlet chain is
@@ -71,6 +75,10 @@ class Program {
   /// Highest home KernelId referenced by any DThread, plus one.
   std::uint16_t max_kernels() const { return max_kernels_; }
 
+  /// The data plane's static tables (core/dataplane.h), built on the
+  /// first call - from any thread - and shared by every later run.
+  const DataPlaneTables& dataplane_tables() const;
+
  private:
   friend class ProgramBuilder;
   /// Test-only backdoor (tests/testing/program_test_peer.h): corrupts
@@ -84,6 +92,20 @@ class Program {
   std::vector<CrossBlockArc> cross_block_arcs_;
   std::uint32_t num_app_threads_ = 0;
   std::uint16_t max_kernels_ = 1;
+
+  /// Lazily built dataplane_tables(). A copied or assigned-to Program
+  /// drops the cache and builds its own tables on first use.
+  struct TablesCache {
+    TablesCache() = default;
+    TablesCache(const TablesCache&) {}
+    TablesCache& operator=(const TablesCache&) {
+      tables.reset();
+      return *this;
+    }
+    std::mutex mutex;
+    std::shared_ptr<const DataPlaneTables> tables;
+  };
+  mutable TablesCache tables_cache_;
 };
 
 }  // namespace tflux::core

@@ -91,7 +91,7 @@ void TsuState::complete(ThreadId tid) {
         // The single-threaded TSUs always batch per coalesced run: the
         // forward happens once per producer/consumer-run pair.
         for (const ForwardRun& run :
-             dataplane_->forward_runs(tid, /*coalesce=*/true)) {
+             dataplane_->tables().forward_runs(tid, /*coalesce=*/true)) {
           ++counters_.forwards;
           counters_.bytes_forwarded += run.bytes;
         }

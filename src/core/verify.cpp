@@ -568,12 +568,12 @@ void check_capacity_and_kernels(const Program& program,
     if (by_shard) {
       map = ShardMap::clustered(options.num_kernels, options.shards);
     }
-    const DataPlane plane(program);
+    const DataPlaneTables& tables = program.dataplane_tables();
     std::vector<KernelId> homes;
     for (const DThread& t : program.threads()) {
       if (!t.is_application()) continue;
       homes.clear();
-      for (const Contribution& c : plane.contributions(t.id)) {
+      for (const Contribution& c : tables.contributions(t.id)) {
         KernelId home = program.thread(c.producer).home_kernel;
         if (home == kInvalidKernel) continue;  // reported below
         if (options.num_kernels != 0 && home >= options.num_kernels) {

@@ -36,8 +36,9 @@ struct Executor::Impl {
   /// runtime state of one run, assembled by the dispatcher (off the
   /// workers' critical path when stage_depth > 1) and executed by the
   /// partition's resident workers. Mirrors Runtime::run()'s frame with
-  /// every object scoped to this instance - nothing is shared with
-  /// other tenants or with the next run of the same tenant, which is
+  /// every mutable object scoped to this instance - nothing mutable is
+  /// shared with other tenants or with the next run of the same tenant
+  /// (only the Program's immutable data-plane tables are), which is
   /// what makes traces replay standalone and guard findings
   /// attributable.
   struct Instance {
@@ -88,6 +89,8 @@ struct Executor::Impl {
       }
       const core::ShardMap* map_ptr = sharded ? &*shard_map : nullptr;
       if (opts.dataplane) {
+        // Only the execution record is this instance's; the tables are
+        // the Program's, shared with every other run of it.
         dataplane = std::make_unique<core::DataPlane>(program, map_ptr);
       }
       sm.emplace(program, width);

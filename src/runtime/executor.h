@@ -12,9 +12,10 @@
 // instance runs entirely inside one partition with local kernel ids
 // 0..W-1. Isolation is structural, not policed: every per-run object
 // - Synchronization Memory generations, TUB lanes, mailboxes, the
-// data plane, steal/affinity scope, the ddmtrace lanes and ddmguard
-// epoch words - is built per instance at width W, so no dispatch
-// policy, stale update, or stat can cross tenants, and every
+// data-plane execution record, steal/affinity scope, the ddmtrace
+// lanes and ddmguard epoch words - is built per instance at width W
+// (only the Program's immutable data-plane tables are shared), so no
+// dispatch policy, stale update, or stat can cross tenants, and every
 // concurrent run's trace replays standalone through tflux_check with
 // exact counter reconciliation.
 //

@@ -110,7 +110,7 @@ void Kernel::run() {
       // in the unit ablation), counted once per completion - the
       // double-publish fault duplicates updates, never forwards.
       for (const core::ForwardRun& run :
-           dataplane_->forward_runs(tid, tubs_.coalesce())) {
+           dataplane_->tables().forward_runs(tid, tubs_.coalesce())) {
         ++stats_.forwards;
         stats_.bytes_forwarded += run.bytes;
       }

@@ -7,11 +7,9 @@
 #include <chrono>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <thread>
 
 #include "core/error.h"
-#include "core/topology.h"
 #include "runtime/trace_log.h"
 
 namespace tflux::runtime {
@@ -120,29 +118,32 @@ Runtime::Runtime(const core::Program& program, RuntimeOptions options)
   if (options_.shards > options_.num_kernels) {
     throw core::TFluxError("Runtime: shards must be <= num_kernels");
   }
+  // Sharded topology: replace the interleaved k % tsu_groups ownership
+  // with clustered shards, one emulator per shard.
+  if (options_.shards >= 1) {
+    shard_map_ = core::ShardMap::clustered(options_.num_kernels,
+                                           options_.shards);
+  }
 }
 
 RuntimeStats Runtime::run() {
   ++runs_;
 
-  // Sharded topology: replace the interleaved k % tsu_groups ownership
-  // with clustered shards, one emulator per shard. The map lives on
-  // this frame and every holder of the pointer is joined before run()
-  // returns.
-  const bool sharded = options_.shards >= 1;
+  const bool sharded = shard_map_.has_value();
   const std::uint16_t groups = sharded ? options_.shards : options_.tsu_groups;
-  std::optional<core::ShardMap> shard_map;
-  if (sharded) {
-    shard_map = core::ShardMap::clustered(options_.num_kernels,
-                                          options_.shards);
-  }
-  const core::ShardMap* map_ptr = sharded ? &*shard_map : nullptr;
+  const core::ShardMap* map_ptr = sharded ? &*shard_map_ : nullptr;
 
-  // Managed data plane: static forward/contribution tables plus the
-  // shared execution record kernels write and emulators score against.
-  std::unique_ptr<core::DataPlane> dataplane;
+  // Managed data plane: the Program's shared forward/contribution
+  // tables plus this Runtime's execution record, which kernels write
+  // and emulators score against.
+  core::DataPlane* dataplane = nullptr;
   if (options_.dataplane) {
-    dataplane = std::make_unique<core::DataPlane>(program_, map_ptr);
+    if (dataplane_) {
+      dataplane_->rewind();
+    } else {
+      dataplane_.emplace(program_, map_ptr);
+    }
+    dataplane = &*dataplane_;
   }
 
   SyncMemoryGroup sm(program_, options_.num_kernels);
@@ -244,7 +245,7 @@ RuntimeStats Runtime::run() {
             .adaptive_backlog = options_.adaptive_backlog,
             .shard_map = map_ptr,
             .steal_threshold = options_.steal_threshold,
-            .dataplane = dataplane.get(),
+            .dataplane = dataplane,
             .trace = trace_log.get(),
             .guard = guard.get(),
             .fault = fault_ptr,
@@ -255,8 +256,7 @@ RuntimeStats Runtime::run() {
   kernels.reserve(options_.num_kernels);
   for (core::KernelId k = 0; k < options_.num_kernels; ++k) {
     kernels.emplace_back(program_, k, mailboxes[k], tubs, trace_log.get(),
-                         GuardHook{guard.get(), k}, fault_ptr,
-                         dataplane.get());
+                         GuardHook{guard.get(), k}, fault_ptr, dataplane);
   }
 
   const auto t0 = std::chrono::steady_clock::now();

@@ -13,11 +13,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
+#include "core/dataplane.h"
 #include "core/ddmtrace.h"
 #include "core/program.h"
 #include "core/ready_set.h"
+#include "core/topology.h"
 #include "runtime/emulator.h"
 #include "runtime/kernel.h"
 #include "runtime/tub.h"
@@ -114,9 +117,10 @@ struct RuntimeOptions {
 struct RuntimeStats {
   double wall_seconds = 0.0;
   /// Which run() invocation of this Runtime produced these stats
-  /// (1-based). Every run assembles fresh actors, so the counters are
-  /// always per-run - this is the epoch tag that makes back-to-back
-  /// in-process runs distinguishable in reports.
+  /// (1-based). Every counter is per-run - each run assembles fresh
+  /// actors and rewinds the data plane's execution record - and this
+  /// is the epoch tag that makes back-to-back in-process runs
+  /// distinguishable in reports.
   std::uint64_t epoch = 0;
   TubStats tub;                          ///< aggregated over all TUBs
   EmulatorStats emulator;                ///< aggregated over emulators
@@ -138,13 +142,18 @@ class Runtime {
  public:
   Runtime(const core::Program& program, RuntimeOptions options);
 
+  Runtime(const Runtime&) = delete;  // dataplane_ points at shard_map_
+  Runtime& operator=(const Runtime&) = delete;
+
   /// Execute the program to completion. May be called repeatedly (one
   /// run at a time): every invocation assembles fresh SM generations,
-  /// TUBs, mailboxes, and actor threads, so runs are independent and
-  /// the returned stats cover exactly one run (RuntimeStats::epoch
-  /// numbers them). Callers re-running a program whose DThreads
-  /// consume their own outputs must re-initialize the input buffers
-  /// between runs (apps::AppRun::reset).
+  /// TUBs, mailboxes, and actor threads, and rewinds the data plane's
+  /// execution record, so runs are independent and the returned stats
+  /// cover exactly one run (RuntimeStats::epoch numbers them). The
+  /// data plane's static tables are the Program's, built by the first
+  /// run that needs them (Program::dataplane_tables). Callers re-running
+  /// a program whose DThreads consume their own outputs must
+  /// re-initialize the input buffers between runs (apps::AppRun::reset).
   RuntimeStats run();
 
   /// Completed run() invocations so far.
@@ -154,6 +163,11 @@ class Runtime {
   const core::Program& program_;
   RuntimeOptions options_;
   std::uint64_t runs_ = 0;
+  /// Clustered kernel-to-shard map (options.shards >= 1).
+  std::optional<core::ShardMap> shard_map_;
+  /// Execution record (options.dataplane), created by the first run
+  /// and rewound by every later one.
+  std::optional<core::DataPlane> dataplane_;
 };
 
 }  // namespace tflux::runtime

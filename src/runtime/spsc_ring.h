@@ -11,6 +11,7 @@
 // no sequentially-consistent fences.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -35,6 +36,17 @@ inline void cpu_relax() noexcept {
 #else
   std::atomic_signal_fence(std::memory_order_seq_cst);
 #endif
+}
+
+/// Make room for `extra` more items at the end of `out`, growing its
+/// capacity geometrically. An exact `reserve(size() + extra)` would
+/// reallocate - and copy everything already drained - on every call.
+template <typename T>
+void reserve_more(std::vector<T>& out, std::size_t extra) {
+  const std::size_t need = out.size() + extra;
+  if (need > out.capacity()) {
+    out.reserve(std::max(need, 2 * out.capacity()));
+  }
 }
 
 template <typename T>
@@ -107,7 +119,7 @@ class SpscRing {
     cached_tail_ = tail_.load(std::memory_order_acquire);
     const std::size_t count = cached_tail_ - head;
     if (count == 0) return 0;
-    out.reserve(out.size() + count);
+    reserve_more(out, count);
     for (std::size_t i = 0; i < count; ++i) {
       out.push_back(slots_[(head + i) & mask_]);
     }

@@ -1,6 +1,5 @@
 #include "runtime/trace_log.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <mutex>
@@ -23,6 +22,7 @@ TraceLog::TraceLog(std::uint16_t num_kernels, std::uint16_t num_groups,
   const std::size_t lanes =
       static_cast<std::size_t>(num_kernels) + num_groups;
   lanes_.reserve(lanes);
+  drained_.resize(lanes);
   for (std::size_t i = 0; i < lanes; ++i) {
     lanes_.push_back(
         std::make_unique<SpscRing<core::TraceRecord>>(lane_capacity));
@@ -76,22 +76,43 @@ void TraceLog::emergency_flush() {
   stop_.store(true, std::memory_order_release);
   if (flusher_.joinable()) flusher_.join();
   drain_all();
-  std::stable_sort(records_.begin(), records_.end(),
-                   [](const core::TraceRecord& a,
-                      const core::TraceRecord& b) { return a.seq < b.seq; });
-  if (emergency_writer_) emergency_writer_(std::move(records_));
-  records_.clear();
+  if (emergency_writer_) emergency_writer_(merged());
+  drained_.clear();
 }
 
 void TraceLog::drain_all() {
-  for (auto& lane : lanes_) lane->pop_all(records_);
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    lanes_[i]->pop_all(drained_[i]);
+  }
+}
+
+std::vector<core::TraceRecord> TraceLog::merged() const {
+  std::size_t total = 0;
+  for (const auto& lane : drained_) total += lane.size();
+  std::vector<core::TraceRecord> out;
+  out.reserve(total);
+  // Few lanes (kernels + emulators): a linear scan for the smallest
+  // head beats a heap.
+  std::vector<std::size_t> next(drained_.size(), 0);
+  while (out.size() < total) {
+    std::size_t best = drained_.size();
+    for (std::size_t i = 0; i < drained_.size(); ++i) {
+      if (next[i] == drained_[i].size()) continue;
+      if (best == drained_.size() ||
+          drained_[i][next[i]].seq < drained_[best][next[best]].seq) {
+        best = i;
+      }
+    }
+    out.push_back(drained_[best][next[best]++]);
+  }
+  return out;
 }
 
 void TraceLog::flush_loop() {
   while (!stop_.load(std::memory_order_acquire)) {
     drain_all();
     if (dump_requested_.load(std::memory_order_acquire)) {
-      // Mid-run dump (a guard trip): hand the armed writer a sorted
+      // Mid-run dump (a guard trip): hand the armed writer a merged
       // copy of the prefix drained so far and keep collecting. The
       // flag is cleared only when a writer was actually invoked;
       // otherwise finish() picks it up (it captures the writer before
@@ -103,13 +124,7 @@ void TraceLog::flush_loop() {
       }
       if (writer) {
         dump_requested_.store(false, std::memory_order_relaxed);
-        std::vector<core::TraceRecord> copy = records_;
-        std::stable_sort(copy.begin(), copy.end(),
-                         [](const core::TraceRecord& a,
-                            const core::TraceRecord& b) {
-                           return a.seq < b.seq;
-                         });
-        writer(std::move(copy));
+        writer(merged());
       }
     }
     // Sleeping (not spinning) keeps the flusher off the workers' CPUs,
@@ -136,15 +151,14 @@ std::vector<core::TraceRecord> TraceLog::finish() {
   stop_.store(true, std::memory_order_release);
   if (flusher_.joinable()) flusher_.join();
   drain_all();
-  std::stable_sort(records_.begin(), records_.end(),
-                   [](const core::TraceRecord& a,
-                      const core::TraceRecord& b) { return a.seq < b.seq; });
+  std::vector<core::TraceRecord> records = merged();
+  drained_.clear();
   if (dump_requested_.exchange(false, std::memory_order_acq_rel) &&
       writer) {
-    writer(std::vector<core::TraceRecord>(records_));
+    writer(std::vector<core::TraceRecord>(records));
   }
   finished_ = true;
-  return std::move(records_);
+  return records;
 }
 
 }  // namespace tflux::runtime

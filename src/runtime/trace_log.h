@@ -2,16 +2,18 @@
 // actor (kernel worker or TSU Emulator group) owns one SPSC lane; the
 // hot-path record() is a relaxed fetch_add on a shared sequence ticket
 // plus a single-producer ring push - no locks, no syscalls. A
-// background flusher drains every lane into the final record vector so
+// background flusher drains every lane into that lane's own buffer so
 // lanes stay shallow even on long runs.
 //
 // Sequence tickets come from ONE atomic counter. Cache coherence makes
 // the tickets totally ordered, and because every cross-thread handoff
 // in the runtime (TUB ring publish -> emulator drain, mailbox put ->
 // kernel take) is a release/acquire pair, any two causally ordered
-// events also draw their tickets in causal order. Sorting by seq thus
+// events also draw their tickets in causal order. Ordering by seq thus
 // yields a linearization consistent with happens-before, which is what
-// the offline checker (core/check.h) replays.
+// the offline checker (core/check.h) replays. Each lane's one producer
+// draws its tickets in program order, so every lane buffer is already
+// seq-ordered and the final order is a k-way merge of the lanes.
 #pragma once
 
 #include <atomic>
@@ -61,14 +63,14 @@ class TraceLog {
   }
 
   /// Stop the flusher, drain every lane, and return all records
-  /// sorted by seq. Call after the actor threads have joined.
+  /// merged into seq order. Call after the actor threads have joined.
   std::vector<core::TraceRecord> finish();
 
   /// Arm the emergency flush: on abnormal teardown - this TraceLog
   /// destroyed without finish() (exception unwinding through
   /// Runtime::run), or the process calling exit() mid-run (a
   /// std::atexit hook covers the armed TraceLog) - the lanes are
-  /// drained and `writer` receives the seq-sorted prefix collected so
+  /// drained and `writer` receives the seq-ordered prefix collected so
   /// far, so the run leaves a trace marked truncated instead of no
   /// trace (or a confusingly incomplete one). At most one TraceLog is
   /// armed at a time; finish() disarms. The writer must not touch this
@@ -81,7 +83,7 @@ class TraceLog {
   /// directly in tests.
   void emergency_flush();
 
-  /// Ask the flusher to hand the armed writer a seq-sorted *copy* of
+  /// Ask the flusher to hand the armed writer a seq-ordered *copy* of
   /// everything drained so far, without stopping collection - the
   /// mid-run variant of the emergency flush, fired by a ddmguard trip
   /// so the trace prefix is persisted before the run finishes (or
@@ -105,14 +107,19 @@ class TraceLog {
 
   void flush_loop();
   void drain_all();
+  /// K-way merge of the drained lane buffers into one seq-ordered
+  /// vector (the buffers are left as they are).
+  std::vector<core::TraceRecord> merged() const;
 
   std::uint16_t num_kernels_;
   std::vector<std::unique_ptr<SpscRing<core::TraceRecord>>> lanes_;
+  /// Records drained from lanes_[i], in seq order (flusher-owned until
+  /// it is joined).
+  std::vector<std::vector<core::TraceRecord>> drained_;
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<bool> stop_{false};
   std::atomic<bool> dump_requested_{false};
   bool finished_ = false;
-  std::vector<core::TraceRecord> records_;
   std::thread flusher_;
   std::function<void(std::vector<core::TraceRecord>&&)> emergency_writer_;
 };

@@ -77,7 +77,7 @@ std::size_t Tub::drain(std::vector<TubEntry>& out) {
   // Restore global publish order across segments.
   std::sort(staged.begin(), staged.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  out.reserve(out.size() + staged.size());
+  reserve_more(out, staged.size());
   for (const auto& [seq, entry] : staged) {
     (void)seq;
     out.push_back(entry);

@@ -1,11 +1,14 @@
 // SharedVariableBuffer data-plane tests: footprint overlap (including
 // the zero-byte-range guarantee), forward-run construction over
-// same-block and cross-block arcs, affinity scoring and dispatch
-// accounting, plus a simulated-machine integration pass proving the
+// same-block and cross-block arcs, the once-per-Program table cache,
+// affinity scoring, dispatch accounting and record rewind, plus a simulated-machine integration pass proving the
 // TsuState counters stay internally consistent under every policy.
 #include "core/dataplane.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
+#include <vector>
 
 #include "apps/susan_pipeline.h"
 #include "core/builder.h"
@@ -89,7 +92,7 @@ Program one_block_fanout() {
 
 TEST(DataPlaneTest, SameBlockRunsCoalesceConsecutiveConsumers) {
   const Program program = one_block_fanout();
-  const DataPlane plane(program);
+  const DataPlaneTables& plane = program.dataplane_tables();
 
   const auto& runs = plane.forward_runs(0, /*coalesce=*/true);
   ASSERT_EQ(runs.size(), 1u);
@@ -125,7 +128,7 @@ TEST(DataPlaneTest, ZeroPayloadArcsAreDroppedEverywhere) {
   b.add_arc(p, c1);
   b.add_arc(p, c2);
   const Program program = b.build({.num_kernels = 2});
-  const DataPlane plane(program);
+  const DataPlaneTables& plane = program.dataplane_tables();
 
   EXPECT_TRUE(plane.contributions(c2).empty());
   const auto& units = plane.forward_runs(p, /*coalesce=*/false);
@@ -158,7 +161,7 @@ TEST(DataPlaneTest, CrossBlockRunsSplitAtConsumerBlockBoundaries) {
   cs.push_back(b.add_thread(b2, "c2", {}, std::move(rc)));
   for (ThreadId c : cs) b.add_arc(p, c);
   const Program program = b.build({.num_kernels = 2});
-  const DataPlane plane(program);
+  const DataPlaneTables& plane = program.dataplane_tables();
 
   const auto& runs = plane.forward_runs(p, /*coalesce=*/true);
   ASSERT_EQ(runs.size(), 2u);
@@ -169,6 +172,31 @@ TEST(DataPlaneTest, CrossBlockRunsSplitAtConsumerBlockBoundaries) {
     ASSERT_EQ(plane.contributions(c).size(), 1u);
     EXPECT_EQ(plane.contributions(c)[0].producer, p);
   }
+}
+
+TEST(DataPlaneTest, TablesAreBuiltOncePerProgramAndSharedByRecords) {
+  const Program program = one_block_fanout();
+  const DataPlane first(program);
+  const DataPlane second(program);
+  EXPECT_EQ(&first.tables(), &program.dataplane_tables());
+  EXPECT_EQ(&second.tables(), &program.dataplane_tables());
+
+  // A copy is a different Program: it builds (equal) tables of its own.
+  const Program copy = program;
+  EXPECT_NE(&copy.dataplane_tables(), &program.dataplane_tables());
+  EXPECT_EQ(copy.dataplane_tables().forward_runs(0, true),
+            program.dataplane_tables().forward_runs(0, true));
+}
+
+TEST(DataPlaneTest, ConcurrentFirstUsersShareOneBuild) {
+  const Program program = one_block_fanout();
+  std::vector<const DataPlaneTables*> seen(4, nullptr);
+  std::vector<std::thread> users;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    users.emplace_back([&, i] { seen[i] = &program.dataplane_tables(); });
+  }
+  for (std::thread& t : users) t.join();
+  for (const DataPlaneTables* t : seen) EXPECT_EQ(t, seen.front());
 }
 
 // ---------------------------------------------------------------------------
@@ -226,6 +254,19 @@ TEST(DataPlaneTest, ScoreTracksWarmBytesPerKernel) {
   s = plane.score(fx.c);
   EXPECT_EQ(s.best, 3);
   EXPECT_EQ(s.best_bytes, 300u);
+}
+
+TEST(DataPlaneTest, RewindForgetsEveryExecution) {
+  auto fx = TwoProducerFixture::make();
+  DataPlane plane(fx.program);
+  plane.record_execution(fx.p_small, 1);
+  plane.record_execution(fx.p_large, 2);
+  EXPECT_FALSE(plane.account_dispatch(fx.c, 0).cold);
+
+  plane.rewind();
+  EXPECT_EQ(plane.exec_kernel(fx.p_small), kInvalidKernel);
+  EXPECT_EQ(plane.exec_kernel(fx.p_large), kInvalidKernel);
+  EXPECT_TRUE(plane.account_dispatch(fx.c, 0).cold);
 }
 
 TEST(DataPlaneTest, ScoreTiesGoToLowestKernel) {

@@ -2,9 +2,10 @@
 // stay sequential-identical under affinity placement across apps x
 // shard counts x the --no-dataplane ablation; the forwarding /
 // affinity statistics reconcile EXACTLY against an offline ddmcheck
-// replay of the execution trace; arc-free programs fall back to
-// all-cold placement; and zero-byte footprint ranges never produce a
-// forwarded byte end-to-end.
+// replay of the execution trace, also on a Runtime re-run back to
+// back; arc-free programs fall back to all-cold placement; and
+// zero-byte footprint ranges never produce a forwarded byte
+// end-to-end.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,16 +32,46 @@ std::uint64_t total_bytes_forwarded(const runtime::RuntimeStats& st) {
   return n;
 }
 
+/// The run's data-plane counters must equal ddmcheck's replay tally.
+void expect_reconciles(const core::Program& program,
+                       const core::ExecTrace& trace,
+                       const runtime::RuntimeStats& stats) {
+  const core::CheckReport report = core::check_trace(program, trace);
+  EXPECT_TRUE(report.findings.empty()) << report.to_string(program);
+  EXPECT_EQ(report.dataplane.forwards, total_forwards(stats));
+  EXPECT_EQ(report.dataplane.bytes_forwarded, total_bytes_forwarded(stats));
+  EXPECT_EQ(report.dataplane.affinity_hits, stats.emulator.affinity_hits);
+  EXPECT_EQ(report.dataplane.affinity_misses,
+            stats.emulator.affinity_misses);
+  EXPECT_EQ(report.dataplane.affinity_cold, stats.emulator.affinity_cold);
+  EXPECT_EQ(report.dataplane.cross_shard_bytes,
+            stats.emulator.cross_shard_bytes);
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: affinity placement (and its ablation) never changes
 // results, with and without sharding.
 // ---------------------------------------------------------------------------
 
+// gtest names a parameterized case by dumping its parameter's bytes.
+// The `pin` bytes of SweepConfig and ReplayConfig sit where struct
+// padding would otherwise be - padding whose contents are
+// indeterminate and so made a case's name change from build to build
+// and run to run. Each case pins them to the bytes it has always been
+// listed under, so every case keeps one fixed name.
 struct SweepConfig {
   apps::AppKind app;
+  std::uint8_t pin_lo;
   std::uint16_t shards;
   bool dataplane;
+  std::uint8_t pin_hi;
 };
+static_assert(sizeof(SweepConfig) == 6, "a case name must hold no padding");
+
+SweepConfig sweep(apps::AppKind app, std::uint16_t shards, bool dataplane,
+                  std::uint8_t pin_lo = 0, std::uint8_t pin_hi = 0) {
+  return SweepConfig{app, pin_lo, shards, dataplane, pin_hi};
+}
 
 class DataPlaneSweepTest : public ::testing::TestWithParam<SweepConfig> {};
 
@@ -79,15 +110,15 @@ TEST_P(DataPlaneSweepTest, AffinityRunsValidate) {
 
 INSTANTIATE_TEST_SUITE_P(
     AppsByShardsByPlane, DataPlaneSweepTest,
-    ::testing::Values(SweepConfig{apps::AppKind::kSusanPipe, 0, true},
-                      SweepConfig{apps::AppKind::kSusanPipe, 0, false},
-                      SweepConfig{apps::AppKind::kSusanPipe, 2, true},
-                      SweepConfig{apps::AppKind::kSusanPipe, 2, false},
-                      SweepConfig{apps::AppKind::kMmult, 0, true},
-                      SweepConfig{apps::AppKind::kMmult, 2, true},
-                      SweepConfig{apps::AppKind::kQsort, 0, true},
-                      SweepConfig{apps::AppKind::kQsort, 2, false},
-                      SweepConfig{apps::AppKind::kFft, 2, true}));
+    ::testing::Values(sweep(apps::AppKind::kSusanPipe, 0, true),
+                      sweep(apps::AppKind::kSusanPipe, 0, false),
+                      sweep(apps::AppKind::kSusanPipe, 2, true),
+                      sweep(apps::AppKind::kSusanPipe, 2, false, 0x1B),
+                      sweep(apps::AppKind::kMmult, 0, true),
+                      sweep(apps::AppKind::kMmult, 2, true, 0xCA),
+                      sweep(apps::AppKind::kQsort, 0, true, 0, 0xDA),
+                      sweep(apps::AppKind::kQsort, 2, false, 0, 0xCA),
+                      sweep(apps::AppKind::kFft, 2, true)));
 
 // ---------------------------------------------------------------------------
 // The pipeline workload actually exercises the plane: payload moves,
@@ -121,9 +152,18 @@ TEST(DataPlanePipelineTest, PipelineForwardsBytesAndScoresHits) {
 
 struct ReplayConfig {
   core::PolicyKind policy;
+  std::uint8_t pin_lo;  // case-name bytes: see SweepConfig
   std::uint16_t shards;
   bool coalesce;
+  std::uint8_t pin_hi;
 };
+static_assert(sizeof(ReplayConfig) == 6, "a case name must hold no padding");
+
+ReplayConfig replay(core::PolicyKind policy, std::uint16_t shards,
+                    bool coalesce, std::uint8_t pin_lo = 0,
+                    std::uint8_t pin_hi = 0) {
+  return ReplayConfig{policy, pin_lo, shards, coalesce, pin_hi};
+}
 
 class DataPlaneReplayTest : public ::testing::TestWithParam<ReplayConfig> {};
 
@@ -145,27 +185,57 @@ TEST_P(DataPlaneReplayTest, TraceReplayReconcilesExactly) {
   runtime::Runtime rt(run.program, options);
   const runtime::RuntimeStats stats = rt.run();
   EXPECT_TRUE(run.validate());
-
-  const core::CheckReport report = core::check_trace(run.program, trace);
-  EXPECT_TRUE(report.findings.empty());
-  EXPECT_EQ(report.dataplane.forwards, total_forwards(stats));
-  EXPECT_EQ(report.dataplane.bytes_forwarded, total_bytes_forwarded(stats));
-  EXPECT_EQ(report.dataplane.affinity_hits, stats.emulator.affinity_hits);
-  EXPECT_EQ(report.dataplane.affinity_misses,
-            stats.emulator.affinity_misses);
-  EXPECT_EQ(report.dataplane.affinity_cold, stats.emulator.affinity_cold);
-  EXPECT_EQ(report.dataplane.cross_shard_bytes,
-            stats.emulator.cross_shard_bytes);
+  expect_reconciles(run.program, trace, stats);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PoliciesByShardsByCoalesce, DataPlaneReplayTest,
-    ::testing::Values(
-        ReplayConfig{core::PolicyKind::kAffinity, 0, true},
-        ReplayConfig{core::PolicyKind::kAffinity, 0, false},
-        ReplayConfig{core::PolicyKind::kAffinity, 2, true},
-        ReplayConfig{core::PolicyKind::kLocality, 0, true},
-        ReplayConfig{core::PolicyKind::kHier, 2, true}));
+    ::testing::Values(replay(core::PolicyKind::kAffinity, 0, true, 0xCD),
+                      replay(core::PolicyKind::kAffinity, 0, false),
+                      replay(core::PolicyKind::kAffinity, 2, true, 0x7F),
+                      replay(core::PolicyKind::kLocality, 0, true, 0x7D),
+                      replay(core::PolicyKind::kHier, 2, true, 0xEC)));
+
+// ---------------------------------------------------------------------------
+// Reuse: a Runtime keeps its execution record across runs and rewinds
+// it per run. At one kernel dispatch is deterministic, so every re-run
+// must report exactly a fresh Runtime's first-run counters, and each
+// run's trace must replay (over a fresh record) to the same tallies.
+// ---------------------------------------------------------------------------
+
+TEST(DataPlaneReuseTest, RerunsMatchAFreshRuntimeAndReconcile) {
+  apps::DdmParams params;
+  params.num_kernels = 1;
+  params.tsu_capacity = 64;  // several DDM Blocks: cross-block forwards
+  apps::AppRun run =
+      apps::build_app(apps::AppKind::kSusanPipe, apps::SizeClass::kSmall,
+                      apps::Platform::kSimulated, params);
+
+  core::ExecTrace trace;
+  runtime::RuntimeOptions options;
+  options.num_kernels = 1;
+  options.policy = core::PolicyKind::kAffinity;
+  options.trace = &trace;
+  const runtime::RuntimeStats fresh = runtime::Runtime(run.program, options).run();
+  EXPECT_TRUE(run.validate());
+  expect_reconciles(run.program, trace, fresh);
+  ASSERT_GT(fresh.emulator.affinity_hits, 0u);
+  ASSERT_GT(total_forwards(fresh), 0u);
+
+  runtime::Runtime rt(run.program, options);
+  for (std::uint64_t round = 1; round <= 3; ++round) {
+    if (run.reset) run.reset();
+    const runtime::RuntimeStats st = rt.run();
+    EXPECT_EQ(st.epoch, round);
+    EXPECT_TRUE(run.validate());
+    EXPECT_EQ(st.emulator.affinity_hits, fresh.emulator.affinity_hits);
+    EXPECT_EQ(st.emulator.affinity_misses, fresh.emulator.affinity_misses);
+    EXPECT_EQ(st.emulator.affinity_cold, fresh.emulator.affinity_cold);
+    EXPECT_EQ(total_forwards(st), total_forwards(fresh));
+    EXPECT_EQ(total_bytes_forwarded(st), total_bytes_forwarded(fresh));
+    expect_reconciles(run.program, trace, st);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Forced-cold fallback: SUSAN's phases synchronize through block

@@ -14,6 +14,10 @@
 //     reconciliation (its records account for precisely its own
 //     instance's dispatches/completions), even though other tenants
 //     executed concurrently.
+//   - Back-to-back runs of one handle share the Program's data-plane
+//     tables but each gets its own execution record: every run reports
+//     a fresh Runtime's data-plane counters and reconciles with its
+//     own trace.
 //   - Admission control: capacity errors at submit time, bounded-queue
 //     load shedding via try_submit, tenant pinning.
 //   - Teardown: the destructor drains in-flight work; futures obtained
@@ -188,6 +192,55 @@ TEST(ResidentExecutor, MidFlightTraceReplaysStandalone) {
   EXPECT_EQ(trace_dispatches, traced.stats.emulator.dispatches);
   EXPECT_EQ(trace_completes, executed);
   EXPECT_GT(trace_dispatches, 0u);
+}
+
+TEST(ResidentExecutor, BackToBackRunsOfOneHandleKeepDataPlaneCountersPerRun) {
+  core::ProgramRegistry registry;
+  apps::DdmParams params;
+  params.num_kernels = 1;
+  params.tsu_capacity = 64;
+  auto app = std::make_shared<apps::AppRun>(
+      apps::build_app(apps::AppKind::kSusanPipe, apps::SizeClass::kSmall,
+                      apps::Platform::kSimulated, params));
+  const core::ProgramHandle handle = register_app(registry, app);
+
+  // Width 1: dispatch is deterministic, so the counters must match a
+  // fresh Runtime's first run exactly.
+  runtime::RuntimeOptions rt_options;
+  rt_options.num_kernels = 1;
+  const runtime::RuntimeStats fresh =
+      runtime::Runtime(app->program, rt_options).run();
+  auto forwards = [](const runtime::RuntimeStats& st) {
+    std::uint64_t n = 0;
+    for (const runtime::KernelStats& k : st.kernels) n += k.forwards;
+    return n;
+  };
+  ASSERT_GT(forwards(fresh), 0u);
+
+  ExecutorOptions options;
+  options.pool_kernels = 1;
+  options.partition_width = 1;
+  Executor executor(registry, options);
+  for (int round = 0; round < 3; ++round) {
+    if (app->reset) app->reset();
+    core::ExecTrace trace;
+    RunRequest req = request_for(handle);
+    req.trace = &trace;
+    const RunResult result = executor.submit(req).get();
+    EXPECT_TRUE(app->validate());
+    const runtime::EmulatorStats& e = result.stats.emulator;
+    EXPECT_EQ(e.affinity_hits, fresh.emulator.affinity_hits);
+    EXPECT_EQ(e.affinity_misses, fresh.emulator.affinity_misses);
+    EXPECT_EQ(e.affinity_cold, fresh.emulator.affinity_cold);
+    EXPECT_EQ(forwards(result.stats), forwards(fresh));
+
+    const core::CheckReport report = core::check_trace(app->program, trace);
+    EXPECT_TRUE(report.clean()) << report.to_string(app->program);
+    EXPECT_EQ(report.dataplane.affinity_hits, e.affinity_hits);
+    EXPECT_EQ(report.dataplane.affinity_misses, e.affinity_misses);
+    EXPECT_EQ(report.dataplane.affinity_cold, e.affinity_cold);
+    EXPECT_EQ(report.dataplane.forwards, forwards(result.stats));
+  }
 }
 
 TEST(ResidentExecutor, TrySubmitShedsOnFullQueue) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -68,6 +69,28 @@ TEST(SpscRingTest, BulkPushAndPopAll) {
   EXPECT_EQ(ring.pop_all(out), 8u);
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4, 5, 6, 1, 2}));
   EXPECT_EQ(ring.pop_all(out), 0u);
+}
+
+TEST(SpscRingTest, RepeatedPopAllGrowsTheOutputGeometrically) {
+  // A flusher drains a few items per pass into one ever-growing vector.
+  // Each pass must not reallocate (and copy) everything drained so far:
+  // growth stays geometric, O(log n) reallocations in total.
+  SpscRing<std::uint64_t> ring(16);
+  std::vector<std::uint64_t> out;
+  constexpr std::size_t kPasses = 4096;
+  constexpr std::size_t kPerPass = 3;
+  std::size_t reallocations = 0;
+  for (std::size_t pass = 0; pass < kPasses; ++pass) {
+    for (std::size_t i = 0; i < kPerPass; ++i) {
+      ASSERT_TRUE(ring.try_push(pass * kPerPass + i));
+    }
+    const std::size_t capacity = out.capacity();
+    ASSERT_EQ(ring.pop_all(out), kPerPass);
+    if (out.capacity() != capacity) ++reallocations;
+  }
+  ASSERT_EQ(out.size(), kPasses * kPerPass);
+  for (std::size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], i);
+  EXPECT_LE(reallocations, std::bit_width(kPasses * kPerPass));
 }
 
 TEST(SpscRingTest, ProducerConsumerStress) {

@@ -2,11 +2,18 @@
 // RuntimeOptions::trace set, reconcile the record counts against the
 // runtime's own statistics, and feed every trace through the ddmcheck
 // verifier (which must come back clean - the runtime is the reference
-// implementation of its own protocol).
+// implementation of its own protocol). Also: the TraceLog's lane merge
+// under concurrent producers (finish and both emergency paths), and
+// check_trace's out-of-order fallback against its in-place replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <random>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "apps/suite.h"
 #include "core/check.h"
@@ -152,6 +159,163 @@ TEST(TraceLogEmergencyTest, EmergencyFlushIsIdempotent) {
   log.emergency_flush();
   log.emergency_flush();
   EXPECT_EQ(calls, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Lane merge: every lane is seq-ordered (one producer draws its tickets
+// in program order), so a k-way merge yields the global seq order.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint16_t kMergeKernels = 3;
+constexpr std::uint16_t kMergeGroups = 2;
+constexpr std::uint32_t kPerLane = 6000;
+
+/// One producer thread per lane, each recording kPerLane events whose
+/// `a` operand counts up; small lanes make the flusher drain mid-run.
+void produce_on_every_lane(runtime::TraceLog& log) {
+  std::vector<std::thread> producers;
+  for (std::uint16_t lane = 0; lane < kMergeKernels + kMergeGroups; ++lane) {
+    producers.emplace_back([&log, lane] {
+      for (std::uint32_t i = 0; i < kPerLane; ++i) {
+        log.record(lane, core::TraceEvent::kDispatch, i, lane);
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+}
+
+/// Tickets are dense from 0, so "every record exactly once in strictly
+/// ascending seq" is seq == position; each lane's payload stays in its
+/// producer's order.
+void expect_complete_merge(const std::vector<core::TraceRecord>& records) {
+  constexpr std::size_t kLanes = kMergeKernels + kMergeGroups;
+  ASSERT_EQ(records.size(), kLanes * kPerLane);
+  std::vector<std::uint32_t> next(kLanes, 0);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    ASSERT_EQ(records[i].seq, i);
+    ASSERT_LT(records[i].actor, kLanes);
+    ASSERT_EQ(records[i].a, next[records[i].actor]++);
+  }
+}
+
+TEST(TraceLogMergeTest, FinishReturnsEveryRecordOnceInSeqOrder) {
+  runtime::TraceLog log(kMergeKernels, kMergeGroups, /*lane_capacity=*/512);
+  produce_on_every_lane(log);
+  expect_complete_merge(log.finish());
+}
+
+TEST(TraceLogMergeTest, EmergencyFlushDeliversTheMergedOrder) {
+  std::vector<core::TraceRecord> flushed;
+  {
+    runtime::TraceLog log(kMergeKernels, kMergeGroups, 512);
+    log.arm_emergency([&](std::vector<core::TraceRecord>&& records) {
+      flushed = std::move(records);
+    });
+    produce_on_every_lane(log);
+    // No finish(): the destructor takes the emergency path.
+  }
+  expect_complete_merge(flushed);
+}
+
+TEST(TraceLogMergeTest, MidRunDumpIsAMergedSubsequenceOfTheFinalTrace) {
+  std::vector<core::TraceRecord> dumped;
+  bool called = false;
+  runtime::TraceLog log(kMergeKernels, kMergeGroups, 512);
+  log.arm_emergency([&](std::vector<core::TraceRecord>&& records) {
+    called = true;
+    dumped = std::move(records);
+  });
+  std::thread requester([&log] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    log.request_emergency_dump();
+  });
+  produce_on_every_lane(log);
+  requester.join();
+  const std::vector<core::TraceRecord> records = log.finish();
+  expect_complete_merge(records);
+
+  // Served by the flusher mid-run or by finish(): either way the dump
+  // is the merge of whatever was drained, in strict seq order.
+  ASSERT_TRUE(called);
+  for (std::size_t i = 0; i < dumped.size(); ++i) {
+    ASSERT_LT(dumped[i].seq, records.size());
+    const core::TraceRecord& r = records[dumped[i].seq];
+    EXPECT_EQ(dumped[i].actor, r.actor);
+    EXPECT_EQ(dumped[i].a, r.a);
+    if (i > 0) ASSERT_LT(dumped[i - 1].seq, dumped[i].seq);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// check_trace replays an ordered trace in place and sorts a copy only
+// when the records are out of order; both paths give one report.
+// ---------------------------------------------------------------------------
+
+void expect_same_report(const core::CheckReport& a,
+                        const core::CheckReport& b) {
+  ASSERT_EQ(a.findings.size(), b.findings.size());
+  for (std::size_t i = 0; i < a.findings.size(); ++i) {
+    EXPECT_EQ(a.findings[i].code, b.findings[i].code);
+    EXPECT_EQ(a.findings[i].thread, b.findings[i].thread);
+    EXPECT_EQ(a.findings[i].other, b.findings[i].other);
+    EXPECT_EQ(a.findings[i].block, b.findings[i].block);
+    EXPECT_EQ(a.findings[i].seq, b.findings[i].seq);
+    EXPECT_EQ(a.findings[i].message, b.findings[i].message);
+  }
+  EXPECT_EQ(a.records_checked, b.records_checked);
+  EXPECT_EQ(a.steals.dispatches, b.steals.dispatches);
+  EXPECT_EQ(a.steals.home, b.steals.home);
+  EXPECT_EQ(a.steals.local, b.steals.local);
+  EXPECT_EQ(a.steals.remote, b.steals.remote);
+  EXPECT_EQ(a.dataplane.forwards, b.dataplane.forwards);
+  EXPECT_EQ(a.dataplane.bytes_forwarded, b.dataplane.bytes_forwarded);
+  EXPECT_EQ(a.dataplane.affinity_hits, b.dataplane.affinity_hits);
+  EXPECT_EQ(a.dataplane.affinity_misses, b.dataplane.affinity_misses);
+  EXPECT_EQ(a.dataplane.affinity_cold, b.dataplane.affinity_cold);
+  EXPECT_EQ(a.dataplane.cross_shard_bytes, b.dataplane.cross_shard_bytes);
+  EXPECT_EQ(a.races_skipped, b.races_skipped);
+  EXPECT_EQ(a.truncated, b.truncated);
+}
+
+TEST(CheckTraceOrderTest, ShuffledTraceReplaysToTheSameReport) {
+  apps::DdmParams params;
+  params.num_kernels = 4;
+  params.tsu_capacity = 64;
+  apps::AppRun run = apps::build_app(apps::AppKind::kSusanPipe,
+                                     apps::SizeClass::kSmall,
+                                     apps::Platform::kNative, params);
+  core::ExecTrace trace;
+  runtime::RuntimeOptions options;
+  options.num_kernels = 4;
+  options.policy = core::PolicyKind::kAffinity;
+  options.shards = 2;
+  options.trace = &trace;
+  (void)runtime::Runtime(run.program, options).run();
+  ASSERT_TRUE(std::is_sorted(
+      trace.records.begin(), trace.records.end(),
+      [](const auto& a, const auto& b) { return a.seq < b.seq; }));
+
+  // A faulty copy too (one update dropped), so the comparison covers
+  // findings and not only the clean tallies.
+  core::ExecTrace faulty = trace;
+  const auto update = std::find_if(
+      faulty.records.begin(), faulty.records.end(), [](const auto& r) {
+        return r.event == core::TraceEvent::kUpdate ||
+               r.event == core::TraceEvent::kRangeUpdate;
+      });
+  ASSERT_NE(update, faulty.records.end());
+  faulty.records.erase(update);
+
+  for (const core::ExecTrace* ordered : {&trace, &faulty}) {
+    const core::CheckReport expected = core::check_trace(run.program, *ordered);
+    EXPECT_GT(expected.dataplane.forwards, 0u);
+    core::ExecTrace shuffled = *ordered;
+    std::mt19937 rng(20080909);
+    std::shuffle(shuffled.records.begin(), shuffled.records.end(), rng);
+    expect_same_report(expected, core::check_trace(run.program, shuffled));
+  }
+  EXPECT_TRUE(core::check_trace(run.program, trace).clean());
+  EXPECT_FALSE(core::check_trace(run.program, faulty).clean());
 }
 
 TEST(RuntimeTraceMutexTest, MutexStructuresTraceChecksClean) {
