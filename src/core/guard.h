@@ -155,7 +155,8 @@ class Guard {
   /// letting the SM underflow.
   [[nodiscard]] bool on_update_applied(ThreadId tid, std::uint16_t lane);
 
-  /// `tid` is being dispatched (before the mailbox put). `deep` adds
+  /// `tid` is being dispatched (before its id is staged for the
+  /// mailbox, so before any kernel can take it). `deep` adds
   /// the Ready Count comparison (callers pass sampled(block) - it is
   /// only sound on blocks where every member update was accounted).
   void on_dispatch(ThreadId tid, bool deep, std::uint16_t lane);

@@ -205,13 +205,13 @@ void TsuEmulator::dispatch(core::ThreadId tid) {
     }
   }
   account_dataplane(tid, target);
-  // Ticket drawn before the mailbox put: the Dispatch seq always
+  // Ticket drawn before the id is staged: the Dispatch seq always
   // precedes the Complete seq the receiving kernel will draw.
   if (options_.trace) {
     options_.trace->record(trace_lane_, core::TraceEvent::kDispatch, tid,
                            target);
   }
-  mailboxes_[target].put(tid);
+  mailboxes_[target].stage(tid);
 
   if (program_.thread(tid).block == my_block_ &&
       partition_outstanding_ > 0) {
@@ -287,7 +287,11 @@ void TsuEmulator::dispatch_steal_grant(core::ThreadId tid) {
     options_.trace->record(trace_lane_, core::TraceEvent::kDispatch, tid,
                            target);
   }
-  mailboxes_[target].put(tid);
+  mailboxes_[target].stage(tid);
+}
+
+void TsuEmulator::flush_outboxes() {
+  for (core::KernelId k : my_kernels_) mailboxes_[k].flush();
 }
 
 void TsuEmulator::maybe_prefetch() {
@@ -513,6 +517,7 @@ void TsuEmulator::run() {
       // which group 0 always owns).
       dispatch(program_.block(0).inlet);
     }
+    flush_outboxes();
   }
 
   std::vector<TubEntry> buf;
@@ -572,13 +577,18 @@ void TsuEmulator::run() {
           break;
         }
         case TubEntry::Kind::kShutdown: {
+          // The sentinel rides behind whatever the outbox still holds.
           for (core::KernelId k : my_kernels_) {
-            mailboxes_[k].put(core::kInvalidThread);
+            mailboxes_[k].stage(core::kInvalidThread);
           }
+          flush_outboxes();
           return;
         }
       }
     }
+    // End of the sweep: publish every partly filled outbox before
+    // waiting on the TUB again, so no ready DThread is held back.
+    flush_outboxes();
   }
 }
 

@@ -4,7 +4,11 @@
 // kernels it owns (via the TKT, or by sequential search when Thread
 // Indexing is disabled), and dispatches DThreads that become ready to
 // those kernels' mailboxes, preferring the DThread's home Kernel
-// (spatial locality).
+// (spatial locality). Dispatches are staged in each mailbox's outbox
+// and published a cache line of ids at a time (or at once, once per
+// sweep, to an idle kernel); every outbox is flushed at the end of
+// each TUB drain sweep (see runtime/mailbox.h), and the routing reads
+// count staged ids as part of a mailbox's depth.
 //
 // Multiple TSU Groups (the section 4.1 extension, software flavor):
 // with G groups, emulator g owns kernels k where k % G == g; the
@@ -153,8 +157,9 @@ class TsuEmulator {
     /// preload of the next block. 0 = auto (2 x owned kernels).
     std::uint32_t prefetch_low_water = 0;
     /// kAdaptive / kHier: keep a DThread on its home kernel while that
-    /// mailbox holds at most this many undelivered DThreads; beyond
-    /// it, route to the shallowest owned mailbox.
+    /// mailbox's depth (Mailbox::size(): staged, queued or still
+    /// running) is at most this; beyond it, route to the shallowest
+    /// owned mailbox.
     std::uint32_t adaptive_backlog = 2;
     /// Topology map replacing the k % num_groups ownership stripe
     /// (sharded TSU; must outlive the emulator, declare num_groups
@@ -203,14 +208,19 @@ class TsuEmulator {
                ? options_.shard_map->shard_of(k) == options_.group
                : k % options_.num_groups == options_.group;
   }
+  /// Route `tid` to an owned kernel and stage it in that mailbox's
+  /// outbox (published when full or by flush_outboxes()).
   void dispatch(core::ThreadId tid);
+  /// Publish every owned mailbox's outbox: end of each TUB drain sweep,
+  /// after the initial activation, and with the shutdown sentinel.
+  void flush_outboxes();
   /// Data-plane accounting for one application dispatch onto `target`
   /// (no-op without Options::dataplane or for Inlets/Outlets).
   void account_dataplane(core::ThreadId tid, core::KernelId target);
   /// kHier: whole shard backlogged at `local_best` - delegate `tid` to
   /// the least-loaded remote shard if one beats us by steal_threshold.
   /// Returns true when a kStealGrant was published (the caller must
-  /// skip the local mailbox put but still account the partition slot).
+  /// skip the local mailbox but still account the partition slot).
   bool try_delegate(core::ThreadId tid, std::size_t local_best);
   /// Receiver side of a kStealGrant: dispatch the granted DThread (its
   /// home kernel lives in another shard) to the shallowest local

@@ -95,7 +95,8 @@ struct Executor::Impl {
       }
       sm.emplace(program, width);
       sm->set_shard_map(map_ptr);
-      const std::uint32_t num_lanes = width + (sharded ? groups : 0u);
+      // Kernel lanes, then the emulator lanes (see Runtime::run).
+      const std::uint32_t num_lanes = width + (sharded ? groups : 1u);
       tubs.emplace(program, *sm,
                    TubGroupOptions{
                        .num_groups = groups,

@@ -1,6 +1,7 @@
 #include "runtime/kernel.h"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 #include "runtime/trace_log.h"
@@ -87,43 +88,55 @@ void Kernel::post_process(const core::DThread& t) {
 }
 
 void Kernel::run() {
+  std::array<core::ThreadId, kMailboxBatch> batch{};
   for (;;) {
-    const core::ThreadId tid = mailbox_.take();
-    if (tid == core::kInvalidThread) break;  // exit sentinel
-    stats_.mailbox_backlog_peak =
-        std::max<std::uint64_t>(stats_.mailbox_backlog_peak,
-                                mailbox_.size() + 1);
-    const core::DThread& t = program_.thread(tid);
-    if (dataplane_ != nullptr && t.is_application()) {
-      // Ownership record before the body and the publish below: by the
-      // time any consumer can be scored, this thread's written ranges
-      // are attributed here (the TUB's release/acquire orders it).
-      dataplane_->record_execution(tid, id_);
-    }
-    if (t.body) {
-      t.body(core::ExecContext{id_, tid});
-    }
-    ++stats_.threads_executed;
-    if (t.is_application()) ++stats_.app_threads_executed;
-    if (dataplane_ != nullptr && t.is_application()) {
-      // One bulk forward per coalesced [lo, hi] run (or per consumer
-      // in the unit ablation), counted once per completion - the
-      // double-publish fault duplicates updates, never forwards.
-      for (const core::ForwardRun& run :
-           dataplane_->tables().forward_runs(tid, tubs_.coalesce())) {
-        ++stats_.forwards;
-        stats_.bytes_forwarded += run.bytes;
+    const std::size_t n = mailbox_.take_n(batch.data(), batch.size());
+    stats_.mailbox_backlog_peak = std::max<std::uint64_t>(
+        stats_.mailbox_backlog_peak, mailbox_.occupancy());
+    for (std::size_t i = 0; i < n; ++i) {
+      if (batch[i] == core::kInvalidThread) {  // exit sentinel
+        mailbox_.done(n);
+        return;
       }
+      execute(batch[i]);
     }
-    // Epoch stamp before the Complete ticket: the execute event takes
-    // its place in the causal order ahead of everything this
-    // completion publishes.
-    guard_.execute(tid);
-    if (trace_) {
-      trace_->record(id_, core::TraceEvent::kComplete, tid, t.block);
-    }
-    post_process(t);
+    // Occupancy drops once per batch, after the batch ran: the
+    // emulator's routing sees this kernel busy until then.
+    mailbox_.done(n);
   }
+}
+
+void Kernel::execute(core::ThreadId tid) {
+  const core::DThread& t = program_.thread(tid);
+  if (dataplane_ != nullptr && t.is_application()) {
+    // Ownership record before the body and the publish below: by the
+    // time any consumer can be scored, this thread's written ranges
+    // are attributed here (the TUB's release/acquire orders it).
+    dataplane_->record_execution(tid, id_);
+  }
+  if (t.body) {
+    t.body(core::ExecContext{id_, tid});
+  }
+  ++stats_.threads_executed;
+  if (t.is_application()) ++stats_.app_threads_executed;
+  if (dataplane_ != nullptr && t.is_application()) {
+    // One bulk forward per coalesced [lo, hi] run (or per consumer
+    // in the unit ablation), counted once per completion - the
+    // double-publish fault duplicates updates, never forwards.
+    for (const core::ForwardRun& run :
+         dataplane_->tables().forward_runs(tid, tubs_.coalesce())) {
+      ++stats_.forwards;
+      stats_.bytes_forwarded += run.bytes;
+    }
+  }
+  // Epoch stamp before the Complete ticket: the execute event takes
+  // its place in the causal order ahead of everything this
+  // completion publishes.
+  guard_.execute(tid);
+  if (trace_) {
+    trace_->record(id_, core::TraceEvent::kComplete, tid, t.block);
+  }
+  post_process(t);
 }
 
 }  // namespace tflux::runtime

@@ -1,6 +1,7 @@
 // The Kernel: the per-CPU worker loop of the TFlux Runtime Support
-// (paper Figure 2). Waits for a ready DThread from the TSU, executes
-// its body uninterrupted, then runs the Local-TSU half of the
+// (paper Figure 2). Waits for ready DThreads from the TSU - taking up
+// to a cache line of ids from its mailbox at once - executes each body
+// uninterrupted, then runs the Local-TSU half of the
 // post-processing phase: translating the completion into TUB commands
 // (consumer updates, or block load/unload events for Inlets/Outlets).
 // The post-processing phase is batched: one publish call carries all
@@ -29,8 +30,10 @@ struct alignas(kCacheLine) KernelStats {
   std::uint64_t threads_executed = 0;  ///< including inlets/outlets
   std::uint64_t app_threads_executed = 0;
   std::uint64_t updates_published = 0;
-  /// Deepest mailbox backlog observed on take() (the DThread taken
-  /// included) - what the kAdaptive dispatch policy tries to flatten.
+  /// Deepest mailbox backlog observed right after a bulk take: the
+  /// Mailbox::occupancy() then - the taken batch plus every id
+  /// published behind it - what the kAdaptive dispatch policy tries
+  /// to flatten.
   std::uint64_t mailbox_backlog_peak = 0;
   /// Data plane only: bulk forwards this kernel's completions
   /// performed (one per coalesced [lo, hi] run, or one per consumer
@@ -63,6 +66,9 @@ class Kernel {
   void reset_stats_epoch() { stats_.reset(); }
 
  private:
+  /// Run one DThread: body, data-plane record, trace/guard stamps,
+  /// and the post-processing phase.
+  void execute(core::ThreadId tid);
   void post_process(const core::DThread& t);
 
   const core::Program& program_;

@@ -148,11 +148,14 @@ RuntimeStats Runtime::run() {
 
   SyncMemoryGroup sm(program_, options_.num_kernels);
   sm.set_shard_map(map_ptr);
-  // Sharded mode appends one dedicated lane per emulator after the
-  // kernels' lanes: steal grants are emulator-published, and kernel
-  // lanes are SPSC with the kernel as sole producer.
+  // Emulator-published commands get dedicated lanes after the
+  // kernels' lanes, because a kernel lane is SPSC with the kernel as
+  // sole producer: one per emulator in sharded mode (steal grants),
+  // otherwise one for the coordinator's shutdown broadcast - a
+  // pipelined Inlet may still publish its LoadBlock after the final
+  // Outlet.
   const std::uint32_t num_lanes =
-      options_.num_kernels + (sharded ? groups : 0u);
+      options_.num_kernels + (sharded ? groups : 1u);
   TubGroup tubs(program_, sm,
                 TubGroupOptions{
                     .num_groups = groups,
@@ -166,7 +169,9 @@ RuntimeStats Runtime::run() {
                 });
   // Size each mailbox ring to the largest block (plus chaining slack:
   // next block's inlet and the exit sentinel can be queued alongside),
-  // so the emulator's put() never blocks on a full ring in practice.
+  // so an outbox publish never blocks on a full ring in practice.
+  // Batching does not raise that bound: the ids a Kernel has taken
+  // and the ids still staged in an outbox occupy no ring slot.
   std::size_t peak_block = 0;
   for (const core::Block& blk : program_.blocks()) {
     peak_block = std::max(peak_block, blk.app_threads.size());

@@ -100,16 +100,22 @@ class SpscRing {
     return count;
   }
 
-  /// Consumer: remove one item. Returns false when empty.
-  bool try_pop(T& out) {
+  /// Consumer: remove up to `max` items into `out`; returns how many
+  /// (0 when empty). One cursor publish for the whole batch.
+  std::size_t try_pop_n(T* out, std::size_t max) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (head == cached_tail_) {
+    std::size_t avail = cached_tail_ - head;
+    if (avail < max) {
       cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head == cached_tail_) return false;
+      avail = cached_tail_ - head;
+      if (avail == 0) return 0;
     }
-    out = slots_[head & mask_];
-    head_.store(head + 1, std::memory_order_release);
-    return true;
+    const std::size_t count = avail < max ? avail : max;
+    for (std::size_t i = 0; i < count; ++i) {
+      out[i] = slots_[(head + i) & mask_];
+    }
+    head_.store(head + count, std::memory_order_release);
+    return count;
   }
 
   /// Consumer: move everything currently visible into `out`

@@ -73,8 +73,7 @@ void TraceLog::atexit_hook() {
 void TraceLog::emergency_flush() {
   if (finished_) return;
   finished_ = true;
-  stop_.store(true, std::memory_order_release);
-  if (flusher_.joinable()) flusher_.join();
+  stop_flusher();
   drain_all();
   if (emergency_writer_) emergency_writer_(merged());
   drained_.clear();
@@ -108,8 +107,17 @@ std::vector<core::TraceRecord> TraceLog::merged() const {
   return out;
 }
 
+void TraceLog::stop_flusher() {
+  {
+    std::lock_guard<std::mutex> lock(flush_mutex_);
+    stop_ = true;
+  }
+  flush_cv_.notify_one();
+  if (flusher_.joinable()) flusher_.join();
+}
+
 void TraceLog::flush_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
+  for (;;) {
     drain_all();
     if (dump_requested_.load(std::memory_order_acquire)) {
       // Mid-run dump (a guard trip): hand the armed writer a merged
@@ -127,11 +135,17 @@ void TraceLog::flush_loop() {
         writer(merged());
       }
     }
-    // Sleeping (not spinning) keeps the flusher off the workers' CPUs,
-    // and sleeping long keeps its wakeups from preempting workers on
+    // Waiting (not spinning) keeps the flusher off the workers' CPUs,
+    // and a long period keeps its wakeups from preempting workers on
     // oversubscribed machines; 64k-deep lanes absorb several
-    // milliseconds of events even at full dispatch rate.
-    std::this_thread::sleep_for(std::chrono::milliseconds(4));
+    // milliseconds of events even at full dispatch rate. A timed wait
+    // rather than a sleep: stop_flusher() ends it at once, so joining
+    // the flusher never waits out the period.
+    std::unique_lock<std::mutex> lock(flush_mutex_);
+    if (flush_cv_.wait_for(lock, std::chrono::milliseconds(4),
+                           [this] { return stop_; })) {
+      return;
+    }
   }
 }
 
@@ -148,8 +162,7 @@ std::vector<core::TraceRecord> TraceLog::finish() {
     writer = std::move(emergency_writer_);
     emergency_writer_ = nullptr;
   }
-  stop_.store(true, std::memory_order_release);
-  if (flusher_.joinable()) flusher_.join();
+  stop_flusher();
   drain_all();
   std::vector<core::TraceRecord> records = merged();
   drained_.clear();

@@ -7,8 +7,8 @@
 //
 // Sequence tickets come from ONE atomic counter. Cache coherence makes
 // the tickets totally ordered, and because every cross-thread handoff
-// in the runtime (TUB ring publish -> emulator drain, mailbox put ->
-// kernel take) is a release/acquire pair, any two causally ordered
+// in the runtime (TUB ring publish -> emulator drain, mailbox publish
+// -> kernel take) is a release/acquire pair, any two causally ordered
 // events also draw their tickets in causal order. Ordering by seq thus
 // yields a linearization consistent with happens-before, which is what
 // the offline checker (core/check.h) replays. Each lane's one producer
@@ -17,9 +17,11 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -106,6 +108,8 @@ class TraceLog {
   static void atexit_hook();
 
   void flush_loop();
+  /// Wake the flusher out of its wait, join it (idempotent).
+  void stop_flusher();
   void drain_all();
   /// K-way merge of the drained lane buffers into one seq-ordered
   /// vector (the buffers are left as they are).
@@ -117,7 +121,11 @@ class TraceLog {
   /// it is joined).
   std::vector<std::vector<core::TraceRecord>> drained_;
   std::atomic<std::uint64_t> seq_{0};
-  std::atomic<bool> stop_{false};
+  /// The flusher waits on flush_cv_ between passes; stop_flusher()
+  /// sets stop_ under flush_mutex_ and wakes it at once.
+  std::mutex flush_mutex_;
+  std::condition_variable flush_cv_;
+  bool stop_ = false;
   std::atomic<bool> dump_requested_{false};
   bool finished_ = false;
   std::thread flusher_;

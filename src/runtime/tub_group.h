@@ -39,7 +39,8 @@ struct TubGroupOptions {
   std::uint16_t num_groups = 1;
   /// LaneTub (true) vs segmented try-lock Tub (false).
   bool lockfree = true;
-  /// Lock-free geometry: one lane per publishing kernel.
+  /// Lock-free geometry: one lane per publishing kernel, then the
+  /// emulators' own lanes (see broadcast_shutdown).
   std::uint32_t num_lanes = 1;
   std::uint32_t lane_capacity = 256;
   /// Mutex geometry (paper: segmented to keep try-lock contention low).
@@ -192,9 +193,10 @@ class TubGroup {
 
   /// Coordinator side: program finished - every emulator shuts down.
   /// Published on the coordinator's dedicated lane (hint num_kernels:
-  /// group 0's emulator lane when the lane space has one, and lane 0
-  /// mod num_lanes in the legacy kernels-only geometry, where no
-  /// kernel publishes after the final Outlet).
+  /// the first lane after the kernels'). A lane space without one
+  /// folds it onto lane 0, which kernel 0 shares - and a pipelined
+  /// Inlet may still publish there after the final Outlet - so the
+  /// runtimes always size the lane space past the kernels.
   void broadcast_shutdown() {
     const TubEntry e{TubEntry::Kind::kShutdown, 0};
     for (auto& tub : tubs_) {

@@ -4,14 +4,18 @@
 // exact same DThread sets - same app results, same thread counts, same
 // block loads - on every shipped application, at several kernel and
 // TSU-group counts. Also covers the kAdaptive occupancy-aware dispatch
-// policy: placement changes, the executed set must not.
+// policy: placement changes, the executed set must not. And the
+// emulator's batched mailbox delivery: a directly driven emulator
+// hands every wave over whole and in dispatch order.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <vector>
 
 #include "apps/suite.h"
 #include "core/builder.h"
@@ -194,6 +198,96 @@ TEST(DeferredReplayTest, UpdateAheadOfActivationIsDeferredThenReplayed) {
   // its home mailbox, followed by the shutdown sentinel.
   EXPECT_EQ(mailboxes[1].take(), x);
   EXPECT_EQ(mailboxes[1].take(), core::kInvalidThread);
+}
+
+/// Poll (no consuming take) until `n` ids are published to `mb`, or
+/// give up after a generous deadline.
+bool wait_published(const Mailbox& mb, std::size_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (mb.occupancy() < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(OutboxFlushTest, WavesAreDeliveredInDispatchOrderWithNothingStranded) {
+  // Drive the coordinator emulator directly over one kernel: a first
+  // wave one DThread longer than a mailbox batch, then a 3-DThread
+  // wave. Each wave (with its block's Inlet in front) must reach the
+  // mailbox whole, in dispatch order, while the emulator idles on its
+  // TUB - a partly filled outbox must not wait for more work.
+  core::ProgramBuilder b("waves");
+  const core::BlockId b0 = b.add_block();
+  std::vector<core::ThreadId> wave0;
+  for (std::size_t i = 0; i < kMailboxBatch + 1; ++i) {
+    wave0.push_back(
+        b.add_thread(b0, "a" + std::to_string(i), {}, {}, /*home=*/0));
+  }
+  const core::BlockId b1 = b.add_block();
+  std::vector<core::ThreadId> wave1;
+  for (int i = 0; i < 3; ++i) {
+    wave1.push_back(
+        b.add_thread(b1, "b" + std::to_string(i), {}, {}, /*home=*/0));
+  }
+  const core::Program program = b.build(core::BuildOptions{.num_kernels = 1});
+  wave0.insert(wave0.begin(), program.block(b0).inlet);
+  wave1.insert(wave1.begin(), program.block(b1).inlet);
+
+  SyncMemoryGroup sm(program, 1);
+  // The runtime's geometry: kernel 0's lane, then the coordinator's.
+  TubGroup tubs(program, sm,
+                TubGroupOptions{.num_groups = 1,
+                                .lockfree = true,
+                                .num_lanes = 2,
+                                .lane_capacity = 64});
+  std::deque<Mailbox> mailboxes;
+  mailboxes.emplace_back(true, 64);
+  Mailbox& mb = mailboxes[0];
+  TsuEmulator emu(program, tubs, sm, mailboxes, TsuEmulator::Options{});
+  std::thread t([&emu] { emu.run(); });
+
+  // Takes every id of one wave in kernel-sized batches.
+  const auto take_wave = [&mb](std::size_t n) {
+    std::vector<core::ThreadId> got;
+    core::ThreadId batch[kMailboxBatch];
+    while (got.size() < n) {
+      const std::size_t k = mb.take_n(batch, kMailboxBatch);
+      got.insert(got.end(), batch, batch + k);
+      mb.done(k);
+    }
+    return got;
+  };
+
+  const bool first = wait_published(mb, wave0.size());
+  EXPECT_TRUE(first) << mb.occupancy() << " of " << wave0.size()
+                     << " ids published, " << mb.staged() << " stranded";
+  if (first) {
+    EXPECT_EQ(mb.staged(), 0u);
+    EXPECT_EQ(take_wave(wave0.size()), wave0);
+
+    tubs.publish_outlet_done(b0, /*hint=*/0);
+    const bool second = wait_published(mb, wave1.size());
+    EXPECT_TRUE(second) << mb.occupancy() << " of " << wave1.size()
+                        << " ids published, " << mb.staged()
+                        << " stranded";
+    if (second) {
+      EXPECT_EQ(mb.staged(), 0u);
+      EXPECT_EQ(take_wave(wave1.size()), wave1);
+      // The last OutletDone shuts the program down: the sentinel
+      // follows, and nothing else.
+      tubs.publish_outlet_done(b1, /*hint=*/0);
+    }
+  }
+  if (HasFailure()) tubs.broadcast_shutdown();  // unblock the emulator
+  t.join();
+  if (!HasFailure()) {
+    EXPECT_EQ(mb.occupancy(), 1u);
+    EXPECT_EQ(mb.take(), core::kInvalidThread);
+  }
+  EXPECT_EQ(mb.staged(), 0u);
+  EXPECT_EQ(emu.stats().dispatches, wave0.size() + wave1.size());
 }
 
 TEST(DeferredReplayTest, AdaptiveMultiBlockRunsAccountDeferredReplays) {

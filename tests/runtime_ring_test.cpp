@@ -4,10 +4,14 @@
 // so the TSan CI flavor sweeps them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <iterator>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/error.h"
@@ -38,10 +42,10 @@ TEST(SpscRingTest, FifoUntilFullThenEmpty) {
   EXPECT_EQ(ring.size_approx(), 4u);
   int v = -1;
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ring.try_pop(v));
+    EXPECT_EQ(ring.try_pop_n(&v, 1), 1u);
     EXPECT_EQ(v, i);
   }
-  EXPECT_FALSE(ring.try_pop(v));  // empty
+  EXPECT_EQ(ring.try_pop_n(&v, 1), 0u);  // empty
   EXPECT_TRUE(ring.probably_empty());
 }
 
@@ -53,7 +57,7 @@ TEST(SpscRingTest, WraparoundPreservesOrder) {
   for (int round = 0; round < 1000; ++round) {
     for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.try_push(round * 5 + i));
     for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(ring.try_pop(v));
+      ASSERT_EQ(ring.try_pop_n(&v, 1), 1u);
       ASSERT_EQ(v, expected++);
     }
   }
@@ -106,7 +110,7 @@ TEST(SpscRingTest, ProducerConsumerStress) {
   std::uint64_t expected = 0;
   std::uint64_t v = 0;
   while (expected < kItems) {
-    if (ring.try_pop(v)) {
+    if (ring.try_pop_n(&v, 1) == 1) {
       ASSERT_EQ(v, expected);
       ++expected;
     } else {
@@ -152,6 +156,45 @@ TEST(SpscRingTest, BulkProducerConsumerStress) {
     }
   }
   producer.join();
+}
+
+TEST(SpscRingTest, TryPopNNeverExceedsItsBound) {
+  SpscRing<int> ring(16);
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(ring.try_push(i));
+  int out[12];
+  std::fill(std::begin(out), std::end(out), -1);
+  EXPECT_EQ(ring.try_pop_n(out, 0), 0u);
+  EXPECT_EQ(ring.try_pop_n(out, 3), 3u);
+  EXPECT_EQ(out[0], 0);
+  EXPECT_EQ(out[2], 2);
+  EXPECT_EQ(out[3], -1);  // nothing written past the bound
+  // A bound above what is visible returns only what is there.
+  EXPECT_EQ(ring.try_pop_n(out, 12), 7u);
+  EXPECT_EQ(out[0], 3);
+  EXPECT_EQ(out[6], 9);
+  EXPECT_EQ(out[7], -1);
+  EXPECT_EQ(ring.try_pop_n(out, 12), 0u);
+}
+
+TEST(SpscRingTest, BoundedBulkPopStress) {
+  constexpr std::uint64_t kItems = 100000;
+  constexpr std::size_t kBound = 5;
+  SpscRing<std::uint64_t> ring(16);
+  std::thread producer([&] {
+    for (std::uint64_t i = 0; i < kItems; ++i) {
+      while (!ring.try_push(i)) std::this_thread::yield();
+    }
+  });
+  std::uint64_t out[kBound];
+  std::uint64_t expected = 0;
+  while (expected < kItems) {
+    const std::size_t n = ring.try_pop_n(out, kBound);
+    ASSERT_LE(n, kBound);
+    if (n == 0) std::this_thread::yield();
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], expected++);
+  }
+  producer.join();
+  EXPECT_TRUE(ring.probably_empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -265,6 +308,118 @@ INSTANTIATE_TEST_SUITE_P(BothModes, MailboxModeTest,
                          [](const auto& info) {
                            return info.param ? "lockfree" : "mutex";
                          });
+
+TEST_P(MailboxModeTest, TakenIdsCountUntilDone) {
+  Mailbox mb(GetParam(), 64);
+  const core::ThreadId ids[] = {10, 11, 12, 13, 14};
+  mb.put_n(ids, 5);
+  EXPECT_EQ(mb.size(), 5u);
+  core::ThreadId out[kMailboxBatch];
+  ASSERT_EQ(mb.take_n(out, 3), 3u);
+  EXPECT_EQ(out[0], 10u);
+  EXPECT_EQ(out[2], 12u);
+  // Taken but not finished: still part of the kernel's backlog.
+  EXPECT_EQ(mb.size(), 5u);
+  EXPECT_EQ(mb.occupancy(), 5u);
+  mb.done(3);
+  EXPECT_EQ(mb.size(), 2u);
+  ASSERT_EQ(mb.take_n(out, kMailboxBatch), 2u);
+  EXPECT_EQ(out[0], 13u);
+  EXPECT_EQ(out[1], 14u);
+  EXPECT_EQ(mb.size(), 2u);
+  mb.done(2);
+  EXPECT_TRUE(mb.probably_empty());
+}
+
+TEST_P(MailboxModeTest, OutboxPublishesOneLineAtATime) {
+  Mailbox mb(GetParam(), 64);
+  // The Kernel is idle: the first staged id is handed over at once...
+  mb.stage(7);
+  EXPECT_EQ(mb.staged(), 0u);
+  EXPECT_EQ(mb.occupancy(), 1u);
+  // ...but only once per sweep: the rest waits for a full line.
+  EXPECT_EQ(mb.take(), 7u);  // idle again
+  for (std::uint32_t i = 0; i + 1 < kMailboxBatch; ++i) mb.stage(i);
+  // Staged ids count for routing but are not delivered yet.
+  EXPECT_EQ(mb.staged(), kMailboxBatch - 1);
+  EXPECT_EQ(mb.occupancy(), 0u);
+  EXPECT_EQ(mb.size(), kMailboxBatch - 1);
+  mb.stage(99);  // fills the line: published at once
+  EXPECT_EQ(mb.staged(), 0u);
+  EXPECT_EQ(mb.occupancy(), kMailboxBatch);
+  mb.flush();  // sweep end: an empty outbox publishes nothing
+  EXPECT_EQ(mb.occupancy(), kMailboxBatch);
+  mb.stage(100);  // the Kernel is busy: no early publish
+  EXPECT_EQ(mb.staged(), 1u);
+  mb.flush();
+  EXPECT_EQ(mb.staged(), 0u);
+  EXPECT_EQ(mb.occupancy(), kMailboxBatch + 1);
+  core::ThreadId out[kMailboxBatch];
+  ASSERT_EQ(mb.take_n(out, kMailboxBatch), kMailboxBatch);
+  EXPECT_EQ(out[0], 0u);
+  EXPECT_EQ(out[kMailboxBatch - 1], 99u);
+  mb.done(kMailboxBatch);
+  EXPECT_EQ(mb.take(), 100u);
+  // The flush re-armed the wake: an idle Kernel gets its next id now.
+  mb.stage(200);
+  EXPECT_EQ(mb.occupancy(), 1u);
+  EXPECT_EQ(mb.take(), 200u);
+  EXPECT_TRUE(mb.probably_empty());
+}
+
+/// (lock-free?, ring capacity): the capacity-2 ring forces every batch
+/// to be split across the consumer's takes. The mutex mode has no ring,
+/// so one capacity covers it.
+using BatchConfig = std::tuple<bool, std::size_t>;
+
+class MailboxBatchTest : public ::testing::TestWithParam<BatchConfig> {};
+
+TEST_P(MailboxBatchTest, BatchedFifoAcrossThreads) {
+  const auto [lockfree, capacity] = GetParam();
+  constexpr std::uint32_t kItems = 50000;
+  constexpr std::uint32_t kMaxBatch = 100;  // > both ring capacities
+  Mailbox mb(lockfree, capacity);
+  std::thread producer([&] {
+    std::vector<core::ThreadId> batch;
+    std::uint32_t next = 0;
+    for (std::uint32_t size = 1; next < kItems;
+         size = size % kMaxBatch + 1) {
+      batch.clear();
+      for (std::uint32_t i = 0; i < size && next < kItems; ++i) {
+        batch.push_back(next++);
+      }
+      if (size % 2 == 0) {
+        mb.put_n(batch.data(), batch.size());
+      } else {
+        // The emulator's path: stage into the outbox, then flush.
+        for (core::ThreadId tid : batch) mb.stage(tid);
+        mb.flush();
+      }
+    }
+  });
+  core::ThreadId out[kMailboxBatch];
+  std::uint32_t expected = 0;
+  while (expected < kItems) {
+    const std::size_t n = mb.take_n(out, kMailboxBatch);
+    ASSERT_GE(n, 1u);
+    ASSERT_LE(n, kMailboxBatch);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], expected++);
+    // Never more in flight than the producer published.
+    ASSERT_GE(mb.occupancy(), n);
+    mb.done(n);
+  }
+  producer.join();
+  EXPECT_EQ(mb.size(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndCapacities, MailboxBatchTest,
+    ::testing::Values(BatchConfig{true, 2}, BatchConfig{true, 64},
+                      BatchConfig{false, 64}),
+    [](const ::testing::TestParamInfo<BatchConfig>& info) {
+      return std::string(std::get<0>(info.param) ? "lockfree" : "mutex") +
+             "_cap" + std::to_string(std::get<1>(info.param));
+    });
 
 TEST(MailboxTest, LockfreePutSpinsThroughFullRing) {
   // Capacity 2: the producer must wait for the consumer to catch up;
