@@ -40,10 +40,10 @@ using namespace tflux;
 tools::ServeOptions stream_options(std::uint16_t pool, bool serial,
                                    std::uint32_t requests) {
   tools::ServeOptions o;
-  o.pool_kernels = pool;
-  o.partition_width = 1;
-  o.stage_depth = 2;
-  o.queue_capacity = 64;
+  o.exec.pool_kernels = pool;
+  o.exec.partition_width = 1;
+  o.exec.stage_depth = 2;
+  o.exec.queue_capacity = 64;
   o.requests = requests;
   o.rate = 0.0;  // closed loop: backpressure paces the stream
   o.apps = {apps::AppKind::kQsort, apps::AppKind::kFft};

@@ -133,10 +133,6 @@ struct alignas(kCacheLine) EmulatorStats {
     cross_shard_bytes += other.cross_shard_bytes;
     return *this;
   }
-
-  /// Zero every counter - the per-run stats epoch boundary (see
-  /// KernelStats::reset).
-  void reset() { *this = EmulatorStats{}; }
 };
 
 class TsuEmulator {
@@ -198,9 +194,6 @@ class TsuEmulator {
 
   const EmulatorStats& stats() const { return stats_; }
   std::uint16_t group() const { return options_.group; }
-
-  /// Start a fresh stats epoch. Only between runs (no live run()).
-  void reset_stats_epoch() { stats_.reset(); }
 
  private:
   bool owns_kernel(core::KernelId k) const {

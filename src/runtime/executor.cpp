@@ -1,8 +1,5 @@
 #include "runtime/executor.h"
 
-#include <pthread.h>
-#include <sched.h>
-
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -10,149 +7,46 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/error.h"
-#include "core/topology.h"
-#include "runtime/trace_log.h"
+#include "runtime/frame.h"
 
 namespace tflux::runtime {
-namespace {
-
-/// Best-effort self-pinning (modulo the host's CPU count); pinning is
-/// an optimization, errors are ignored.
-void pin_self_to_cpu(unsigned cpu) {
-  const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu % ncpu, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-}
-
-}  // namespace
 
 struct Executor::Impl {
-  /// One admitted program instance: the complete partition-width
-  /// runtime state of one run, assembled by the dispatcher (off the
-  /// workers' critical path when stage_depth > 1) and executed by the
-  /// partition's resident workers. Mirrors Runtime::run()'s frame with
-  /// every mutable object scoped to this instance - nothing mutable is
-  /// shared with other tenants or with the next run of the same tenant
-  /// (only the Program's immutable data-plane tables are), which is
-  /// what makes traces replay standalone and guard findings
-  /// attributable.
+  /// One admitted program instance: a partition-width RunFrame, built
+  /// by the dispatcher (off the workers' critical path when
+  /// stage_depth > 1) and run by the partition's resident workers,
+  /// plus its admission bookkeeping.
   struct Instance {
-    const core::Program& program;
+    RunFrame frame;
     std::uint64_t ticket;
     core::ProgramHandle handle;
     std::uint16_t tenant;
-    std::uint16_t width;
-    std::uint16_t groups;
     core::ExecTrace* trace_out;
     std::chrono::steady_clock::time_point submitted_at;
     std::promise<RunResult> promise;
-
-    // Dependency order: later members reference earlier ones.
-    std::optional<core::ShardMap> shard_map;
-    std::unique_ptr<core::DataPlane> dataplane;
-    std::optional<SyncMemoryGroup> sm;
-    std::optional<TubGroup> tubs;
-    std::deque<Mailbox> mailboxes;
-    std::unique_ptr<TraceLog> trace_log;
-    std::unique_ptr<core::Guard> guard;
-    std::deque<TsuEmulator> emulators;
-    std::deque<Kernel> kernels;
 
     /// First worker to pick the instance up stamps started_at.
     std::atomic<bool> started{false};
     std::chrono::steady_clock::time_point started_at{};
     /// Roles still running; the worker that decrements this to zero
     /// finalizes the result.
-    std::atomic<int> remaining{0};
+    std::atomic<int> remaining;
 
-    Instance(const core::Program& p, std::uint64_t ticket_,
-             core::ProgramHandle handle_, std::uint16_t tenant_,
-             const ExecutorOptions& opts, const core::GuardOptions& guard_opts,
-             core::ExecTrace* trace_out_,
+    Instance(const core::Program& program, const RuntimeOptions& options,
+             std::uint64_t ticket_, core::ProgramHandle handle_,
+             std::uint16_t tenant_,
              std::chrono::steady_clock::time_point submitted)
-        : program(p),
+        : frame(program, options),
           ticket(ticket_),
           handle(handle_),
           tenant(tenant_),
-          width(opts.partition_width),
-          groups(opts.shards >= 1 ? opts.shards : opts.tsu_groups),
-          trace_out(trace_out_),
-          submitted_at(submitted) {
-      const bool sharded = opts.shards >= 1;
-      if (sharded) {
-        shard_map = core::ShardMap::clustered(width, opts.shards);
-      }
-      const core::ShardMap* map_ptr = sharded ? &*shard_map : nullptr;
-      if (opts.dataplane) {
-        // Only the execution record is this instance's; the tables are
-        // the Program's, shared with every other run of it.
-        dataplane = std::make_unique<core::DataPlane>(program, map_ptr);
-      }
-      sm.emplace(program, width);
-      sm->set_shard_map(map_ptr);
-      // Kernel lanes, then the emulator lanes (see Runtime::run).
-      const std::uint32_t num_lanes = width + (sharded ? groups : 1u);
-      tubs.emplace(program, *sm,
-                   TubGroupOptions{
-                       .num_groups = groups,
-                       .lockfree = opts.lockfree,
-                       .num_lanes = num_lanes,
-                       .lane_capacity = opts.tub_lane_capacity,
-                       .coalesce = opts.coalesce_updates,
-                       .shard_map = map_ptr,
-                   });
-      std::size_t peak_block = 0;
-      for (const core::Block& blk : program.blocks()) {
-        peak_block = std::max(peak_block, blk.app_threads.size());
-      }
-      const std::size_t mailbox_capacity =
-          std::max<std::size_t>(64, peak_block + 4);
-      for (core::KernelId k = 0; k < width; ++k) {
-        mailboxes.emplace_back(opts.lockfree, mailbox_capacity);
-      }
-      if (trace_out != nullptr) {
-        // Per-instance trace lanes: kernel lanes 0..W-1 and emulator
-        // lanes W..W+G-1 cover exactly this run, so the trace replays
-        // standalone through tflux_check while other tenants are in
-        // flight. The process-global emergency-flush slot is never
-        // armed here - it is single-run machinery, and a resident pool
-        // has many concurrent candidates for it.
-        trace_log = std::make_unique<TraceLog>(width, groups);
-      }
-      if (guard_opts.mode != core::GuardMode::kOff) {
-        // Per-instance epoch words: this Guard covers only this run's
-        // DThreads and block generations, so one tenant's finding
-        // never implicates another tenant's run.
-        guard =
-            std::make_unique<core::Guard>(program, guard_opts, width, groups);
-      }
-      tubs->set_guard(guard.get());
-      for (std::uint16_t g = 0; g < groups; ++g) {
-        emulators.emplace_back(program, *tubs, *sm, mailboxes,
-                               TsuEmulator::Options{
-                                   .policy = opts.policy,
-                                   .group = g,
-                                   .num_groups = groups,
-                                   .block_pipeline = opts.block_pipeline,
-                                   .shard_map = map_ptr,
-                                   .steal_threshold = opts.steal_threshold,
-                                   .dataplane = dataplane.get(),
-                                   .trace = trace_log.get(),
-                                   .guard = guard.get(),
-                               });
-      }
-      for (core::KernelId k = 0; k < width; ++k) {
-        kernels.emplace_back(program, k, mailboxes[k], *tubs, trace_log.get(),
-                             GuardHook{guard.get(), k}, nullptr,
-                             dataplane.get());
-      }
-      remaining.store(width + groups, std::memory_order_relaxed);
-    }
+          trace_out(options.trace),
+          submitted_at(submitted),
+          remaining(frame.num_roles()) {}
   };
 
   /// One resident worker's inbox. The dispatcher pushes the same
@@ -218,28 +112,39 @@ struct Executor::Impl {
   std::thread dispatcher_;
 
   Impl(core::ProgramRegistry& reg, ExecutorOptions opts)
-      : registry(reg), options(opts) {
+      : registry(reg), options(std::move(opts)) {
     if (options.pool_kernels == 0) {
       throw core::TFluxError("Executor: pool_kernels must be >= 1");
     }
     plan = core::make_partition_plan(options.pool_kernels,
                                      options.partition_width);
-    if (options.tsu_groups == 0 ||
-        options.tsu_groups > options.partition_width) {
+    // The per-instance fields come from the pool shape and the
+    // RunRequest; a value set here would be silently ignored.
+    const RuntimeOptions defaults;
+    const RuntimeOptions& rt = options.runtime;
+    if (rt.num_kernels != defaults.num_kernels) {
       throw core::TFluxError(
-          "Executor: tsu_groups must be in [1, partition_width]");
+          "Executor: runtime.num_kernels is not used; set partition_width");
     }
-    if (options.shards > options.partition_width) {
-      throw core::TFluxError("Executor: shards must be <= partition_width");
+    if (rt.trace != nullptr || rt.trace_emergency) {
+      throw core::TFluxError(
+          "Executor: runtime.trace/trace_emergency are not used; trace an "
+          "instance with RunRequest::trace");
     }
+    if (rt.guard.mode != defaults.guard.mode ||
+        rt.guard.sample_period != defaults.guard.sample_period) {
+      throw core::TFluxError(
+          "Executor: runtime.guard is not used; set RunRequest::guard");
+    }
+    validate_options(instance_options(RunRequest{}), "Executor",
+                     "partition_width");
     if (options.stage_depth == 0) {
       throw core::TFluxError("Executor: stage_depth must be >= 1");
     }
     if (options.queue_capacity == 0) {
       throw core::TFluxError("Executor: queue_capacity must be >= 1");
     }
-    const std::uint16_t groups =
-        options.shards >= 1 ? options.shards : options.tsu_groups;
+    const std::uint16_t groups = tsu_group_count(rt);
     const std::uint16_t roles =
         static_cast<std::uint16_t>(options.partition_width + groups);
     for (const core::TenantPartition& part : plan) {
@@ -253,6 +158,16 @@ struct Executor::Impl {
       }
     }
     dispatcher_ = std::thread([this] { dispatch_loop(); });
+  }
+
+  /// One instance's run configuration: the shared runtime options at
+  /// partition width, with the request's guard and trace.
+  RuntimeOptions instance_options(const RunRequest& request) const {
+    RuntimeOptions rt = options.runtime;
+    rt.num_kernels = options.partition_width;
+    rt.guard = request.guard;
+    rt.trace = request.trace;
+    return rt;
   }
 
   ~Impl() {
@@ -278,7 +193,7 @@ struct Executor::Impl {
   }
 
   void worker(Partition& p, std::uint16_t role, std::uint16_t groups) {
-    if (options.pin_threads) {
+    if (options.runtime.pin_threads) {
       // Kernel roles pack onto the pool's kernel CPUs; emulator roles
       // follow after the pool, grouped by tenant.
       const unsigned cpu =
@@ -306,11 +221,7 @@ struct Executor::Impl {
                                                 std::memory_order_acq_rel)) {
         inst->started_at = std::chrono::steady_clock::now();
       }
-      if (role < options.partition_width) {
-        inst->kernels[role].run();
-      } else {
-        inst->emulators[role - options.partition_width].run();
-      }
+      inst->frame.run_role(role);
       if (inst->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         finalize(p, *inst);
       }
@@ -321,19 +232,7 @@ struct Executor::Impl {
   /// the result, releases the handle and the partition slot.
   void finalize(Partition& p, Instance& inst) {
     const auto t1 = std::chrono::steady_clock::now();
-    if (inst.trace_log != nullptr) {
-      core::ExecTrace& trace = *inst.trace_out;
-      trace.program = inst.program.name();
-      trace.kernels = inst.width;
-      trace.groups = inst.groups;
-      trace.policy = core::to_string(options.policy);
-      trace.pipelined = options.block_pipeline;
-      trace.lockfree = options.lockfree;
-      trace.shards = options.shards;
-      trace.coalesce = options.coalesce_updates;
-      trace.dataplane = options.dataplane;
-      trace.records = inst.trace_log->finish();
-    }
+    if (inst.trace_out != nullptr) inst.frame.fill_trace(*inst.trace_out);
 
     RunResult result;
     result.instance = inst.ticket;
@@ -347,21 +246,8 @@ struct Executor::Impl {
         std::chrono::duration<double>(t1 - inst.started_at).count();
     result.latency_seconds =
         std::chrono::duration<double>(t1 - inst.submitted_at).count();
-    result.stats.wall_seconds = result.run_seconds;
-    result.stats.tub = inst.tubs->aggregated_stats();
-    for (const TsuEmulator& e : inst.emulators) {
-      result.stats.emulators.push_back(e.stats());
-      result.stats.emulator += e.stats();
-    }
-    result.stats.kernels.reserve(inst.kernels.size());
-    for (const Kernel& k : inst.kernels) {
-      result.stats.kernels.push_back(k.stats());
-    }
-    if (inst.guard) {
-      result.stats.guard = inst.guard->stats();
-      result.stats.guard_violations = inst.guard->violations();
-      result.guard_clean = result.stats.guard_violations.empty();
-    }
+    result.stats = inst.frame.stats(result.run_seconds);
+    result.guard_clean = result.stats.guard_violations.empty();
     latency_.add(result.latency_seconds);
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -446,9 +332,8 @@ struct Executor::Impl {
         // buffers its DThreads captured.
         if (entry.reset) entry.reset();
         inst = std::make_shared<Instance>(
-            *entry.program, pend.ticket, pend.request.handle, p.part.tenant,
-            options, pend.request.guard, pend.request.trace,
-            pend.submitted_at);
+            *entry.program, instance_options(pend.request), pend.ticket,
+            pend.request.handle, p.part.tenant, pend.submitted_at);
       } catch (...) {
         pend.promise.set_exception(std::current_exception());
         {

@@ -10,14 +10,17 @@
 // fixed-width *tenant partitions* (core/executor.h): pool kernel
 // [t*W, (t+1)*W) belongs to tenant t, and each admitted program
 // instance runs entirely inside one partition with local kernel ids
-// 0..W-1. Isolation is structural, not policed: every per-run object
-// - Synchronization Memory generations, TUB lanes, mailboxes, the
-// data-plane execution record, steal/affinity scope, the ddmtrace
-// lanes and ddmguard epoch words - is built per instance at width W
-// (only the Program's immutable data-plane tables are shared), so no
-// dispatch policy, stale update, or stat can cross tenants, and every
-// concurrent run's trace replays standalone through tflux_check with
-// exact counter reconciliation.
+// 0..W-1. Each instance is one RunFrame (runtime/frame.h) - the same
+// frame Runtime::run() builds - configured by ExecutorOptions::runtime
+// at num_kernels = W, with the request's guard and trace. Isolation is
+// structural, not policed: every mutable object of a run (SM
+// generations, TUB lanes, mailboxes, the data-plane execution record,
+// steal/affinity scope, the ddmtrace lanes and ddmguard epoch words) is
+// the instance's frame, and only the Program's immutable data-plane
+// tables are shared, so no dispatch policy, stale update, or stat can
+// cross tenants, and every concurrent run's trace replays standalone
+// through tflux_check with exact counter reconciliation. The executor
+// itself owns only the pool: threads, partitions, admission.
 //
 // Admission: submit() enqueues into a bounded queue (blocking when
 // full - backpressure; try_submit() sheds instead). A dispatcher
@@ -50,11 +53,6 @@ struct ExecutorOptions {
   /// Kernels per tenant partition (programs run at this width and
   /// must be built for <= this many kernels).
   std::uint16_t partition_width = 2;
-  /// TSU groups per partition (each partition gets its own
-  /// emulator(s); must be <= partition_width).
-  std::uint16_t tsu_groups = 1;
-  /// Sharded TSU per partition (0 = flat; must be <= partition_width).
-  std::uint16_t shards = 0;
   /// Admission queue bound: submit() blocks (backpressure) and
   /// try_submit() rejects once this many requests are waiting.
   std::size_t queue_capacity = 64;
@@ -62,16 +60,16 @@ struct ExecutorOptions {
   /// when idle; 2 (default) = stage the next instance while the
   /// current one runs, hiding its SM/TUB build time behind execution.
   std::uint16_t stage_depth = 2;
-  core::PolicyKind policy = core::PolicyKind::kLocality;
-  bool lockfree = true;
-  bool block_pipeline = true;
-  bool coalesce_updates = true;
-  bool dataplane = true;
-  /// Pin partition p's workers to CPUs p*(width+groups)... (wraps
-  /// around the host count; best effort).
-  bool pin_threads = false;
-  std::uint32_t tub_lane_capacity = 256;
-  std::uint32_t steal_threshold = 4;
+  /// Every instance's run configuration (TSU groups/shards, policy, hot
+  /// path, TUB geometry, data plane, ...). The executor sets the
+  /// per-instance fields itself - num_kernels from partition_width,
+  /// guard and trace from the RunRequest - so those must stay at their
+  /// defaults here, as must trace_emergency (the process-global
+  /// emergency-flush slot is single-run machinery). pin_threads pins
+  /// partition p's kernel roles to the pool's kernel CPUs p*W.. and its
+  /// emulator roles to the CPUs after the pool (wrapping around the
+  /// host count; best effort).
+  RuntimeOptions runtime;
 };
 
 /// One admission request: which registered program to run, and the
@@ -120,7 +118,9 @@ struct ExecutorStats {
 class Executor {
  public:
   /// The registry must outlive the executor. Worker threads (width +
-  /// tsu_groups per partition) start resident and idle immediately.
+  /// emulators per partition) start resident and idle immediately.
+  /// Throws core::TFluxError on an invalid configuration, including a
+  /// per-instance field set in `options.runtime`.
   Executor(core::ProgramRegistry& registry, ExecutorOptions options);
 
   /// Drains in-flight work, then stops and joins every thread.

@@ -40,12 +40,6 @@ struct alignas(kCacheLine) KernelStats {
   /// in the unit ablation) and the payload bytes they carried.
   std::uint64_t forwards = 0;
   std::uint64_t bytes_forwarded = 0;
-
-  /// Zero every counter - the per-run stats epoch boundary. Back-to-
-  /// back runs in one process (re-run Runtime, resident executor) call
-  /// this between runs so each reports per-run numbers, not the
-  /// cumulative total since construction.
-  void reset() { *this = KernelStats{}; }
 };
 
 class Kernel {
@@ -61,9 +55,6 @@ class Kernel {
 
   const KernelStats& stats() const { return stats_; }
   core::KernelId id() const { return id_; }
-
-  /// Start a fresh stats epoch. Only between runs (no live run()).
-  void reset_stats_epoch() { stats_.reset(); }
 
  private:
   /// Run one DThread: body, data-plane record, trace/guard stamps,

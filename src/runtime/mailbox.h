@@ -52,10 +52,8 @@ inline constexpr std::size_t kMailboxBatch =
 
 class Mailbox {
  public:
-  /// Paper-faithful mutex mailbox (ablation baseline).
-  Mailbox() : Mailbox(false, kDefaultCapacity) {}
   /// `capacity` is only meaningful in lock-free mode: it must cover
-  /// the peak number of undelivered dispatches (the Runtime uses the
+  /// the peak number of undelivered dispatches (the RunFrame uses the
   /// largest block's thread count; overflow degrades to spinning, not
   /// to loss).
   Mailbox(bool lockfree, std::size_t capacity)
@@ -173,8 +171,6 @@ class Mailbox {
   bool lockfree() const { return lockfree_; }
 
  private:
-  static constexpr std::size_t kDefaultCapacity = 1024;
-
   void publish_outbox() {
     const std::uint32_t n = staged_.load(std::memory_order_relaxed);
     if (n == 0) return;

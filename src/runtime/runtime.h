@@ -3,6 +3,14 @@
 // exactly the paper's Figure 4 arrangement ("the last CPU is dedicated
 // to the TSU Emulation process").
 //
+// RuntimeOptions is the one configuration of a run, and RunFrame
+// (runtime/frame.h) is the one place that builds a run from it: SM,
+// TUB, mailboxes, trace lanes, guard, emulators and kernels. Runtime
+// owns nothing of a run itself; each run() builds a frame, spawns a
+// thread per role, joins them and collects the frame's stats. The
+// resident Executor (runtime/executor.h) builds the same frame per
+// request from an embedded RuntimeOptions.
+//
 // Usage:
 //   core::ProgramBuilder b;
 //   ... build graph ...
@@ -13,14 +21,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
-#include "core/dataplane.h"
 #include "core/ddmtrace.h"
 #include "core/program.h"
 #include "core/ready_set.h"
-#include "core/topology.h"
 #include "runtime/emulator.h"
 #include "runtime/kernel.h"
 #include "runtime/tub.h"
@@ -117,10 +122,9 @@ struct RuntimeOptions {
 struct RuntimeStats {
   double wall_seconds = 0.0;
   /// Which run() invocation of this Runtime produced these stats
-  /// (1-based). Every counter is per-run - each run assembles fresh
-  /// actors and rewinds the data plane's execution record - and this
-  /// is the epoch tag that makes back-to-back in-process runs
-  /// distinguishable in reports.
+  /// (1-based). Every counter is per-run - each run builds a fresh
+  /// RunFrame - and this is the epoch tag that makes back-to-back
+  /// in-process runs distinguishable in reports.
   std::uint64_t epoch = 0;
   TubStats tub;                          ///< aggregated over all TUBs
   EmulatorStats emulator;                ///< aggregated over emulators
@@ -140,20 +144,19 @@ struct RuntimeStats {
 
 class Runtime {
  public:
+  /// Throws core::TFluxError on an out-of-range configuration.
   Runtime(const core::Program& program, RuntimeOptions options);
 
-  Runtime(const Runtime&) = delete;  // dataplane_ points at shard_map_
-  Runtime& operator=(const Runtime&) = delete;
-
   /// Execute the program to completion. May be called repeatedly (one
-  /// run at a time): every invocation assembles fresh SM generations,
-  /// TUBs, mailboxes, and actor threads, and rewinds the data plane's
-  /// execution record, so runs are independent and the returned stats
-  /// cover exactly one run (RuntimeStats::epoch numbers them). The
-  /// data plane's static tables are the Program's, built by the first
-  /// run that needs them (Program::dataplane_tables). Callers re-running
-  /// a program whose DThreads consume their own outputs must
-  /// re-initialize the input buffers between runs (apps::AppRun::reset).
+  /// run at a time): every invocation builds a fresh RunFrame (SM
+  /// generations, TUBs, mailboxes, the data plane's execution record)
+  /// and fresh actor threads, so runs are independent and the returned
+  /// stats cover exactly one run (RuntimeStats::epoch numbers them).
+  /// The data plane's static tables are the Program's, built by the
+  /// first run that needs them (Program::dataplane_tables). Callers
+  /// re-running a program whose DThreads consume their own outputs
+  /// must re-initialize the input buffers between runs
+  /// (apps::AppRun::reset).
   RuntimeStats run();
 
   /// Completed run() invocations so far.
@@ -163,11 +166,6 @@ class Runtime {
   const core::Program& program_;
   RuntimeOptions options_;
   std::uint64_t runs_ = 0;
-  /// Clustered kernel-to-shard map (options.shards >= 1).
-  std::optional<core::ShardMap> shard_map_;
-  /// Execution record (options.dataplane), created by the first run
-  /// and rewound by every later one.
-  std::optional<core::DataPlane> dataplane_;
 };
 
 }  // namespace tflux::runtime

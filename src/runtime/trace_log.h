@@ -30,7 +30,7 @@
 
 namespace tflux::runtime {
 
-/// In-memory trace sink shared by all actors of one Runtime::run().
+/// In-memory trace sink shared by all actors of one RunFrame.
 /// Created only when tracing is requested; a null TraceLog* everywhere
 /// else keeps the disabled cost to one predictable branch per event.
 class TraceLog {
@@ -70,7 +70,7 @@ class TraceLog {
 
   /// Arm the emergency flush: on abnormal teardown - this TraceLog
   /// destroyed without finish() (exception unwinding through
-  /// Runtime::run), or the process calling exit() mid-run (a
+  /// the frame's owner), or the process calling exit() mid-run (a
   /// std::atexit hook covers the armed TraceLog) - the lanes are
   /// drained and `writer` receives the seq-ordered prefix collected so
   /// far, so the run leaves a trace marked truncated instead of no
@@ -95,14 +95,6 @@ class TraceLog {
   void request_emergency_dump() {
     dump_requested_.store(true, std::memory_order_release);
   }
-
-  /// Reset the sequence ticket to zero - the per-run trace-counter
-  /// epoch boundary, so an embedder reusing one sink across back-to-
-  /// back runs gets per-run seq ranges instead of a monotonically
-  /// growing ticket. Only between runs (actors joined, finish() not
-  /// yet called); the resident executor instead builds one TraceLog
-  /// per program instance, which scopes seqs per run by construction.
-  void reset_epoch() { seq_.store(0, std::memory_order_relaxed); }
 
  private:
   static void atexit_hook();

@@ -59,10 +59,6 @@ struct TubStats {
   std::uint64_t full_skips = 0;         ///< segment/lane skipped or
                                         ///< stalled: no space
   std::uint64_t drains = 0;             ///< emulator drain sweeps
-
-  /// Zero every counter - the per-run stats epoch boundary (see
-  /// runtime/kernel.h KernelStats::reset).
-  void reset() { *this = TubStats{}; }
 };
 
 /// The Kernel<->Emulator command-queue contract both TUB flavors

@@ -157,33 +157,33 @@ ServeOptions parse_serve_args(const std::vector<std::string>& args) {
     if (arg == "--help" || arg == "-h") {
       options.help = true;
     } else if (arg.rfind("--pool=", 0) == 0) {
-      options.pool_kernels = static_cast<std::uint16_t>(
+      options.exec.pool_kernels = static_cast<std::uint16_t>(
           parse_serve_uint("--pool", value_of("--pool=")));
-      if (options.pool_kernels == 0) {
+      if (options.exec.pool_kernels == 0) {
         throw TFluxError("tflux_serve: --pool must be >= 1");
       }
     } else if (arg.rfind("--width=", 0) == 0) {
-      options.partition_width = static_cast<std::uint16_t>(
+      options.exec.partition_width = static_cast<std::uint16_t>(
           parse_serve_uint("--width", value_of("--width=")));
-      if (options.partition_width == 0) {
+      if (options.exec.partition_width == 0) {
         throw TFluxError("tflux_serve: --width must be >= 1");
       }
     } else if (arg.rfind("--tsu-groups=", 0) == 0) {
-      options.tsu_groups = static_cast<std::uint16_t>(
+      options.exec.runtime.tsu_groups = static_cast<std::uint16_t>(
           parse_serve_uint("--tsu-groups", value_of("--tsu-groups=")));
     } else if (arg.rfind("--shards=", 0) == 0) {
-      options.shards = static_cast<std::uint16_t>(
+      options.exec.runtime.shards = static_cast<std::uint16_t>(
           parse_serve_uint("--shards", value_of("--shards=")));
     } else if (arg.rfind("--queue=", 0) == 0) {
-      options.queue_capacity = static_cast<std::size_t>(
+      options.exec.queue_capacity = static_cast<std::size_t>(
           parse_serve_uint("--queue", value_of("--queue=")));
-      if (options.queue_capacity == 0) {
+      if (options.exec.queue_capacity == 0) {
         throw TFluxError("tflux_serve: --queue must be >= 1");
       }
     } else if (arg.rfind("--stage-depth=", 0) == 0) {
-      options.stage_depth = static_cast<std::uint16_t>(
+      options.exec.stage_depth = static_cast<std::uint16_t>(
           parse_serve_uint("--stage-depth", value_of("--stage-depth=")));
-      if (options.stage_depth == 0) {
+      if (options.exec.stage_depth == 0) {
         throw TFluxError("tflux_serve: --stage-depth must be >= 1");
       }
     } else if (arg.rfind("--requests=", 0) == 0) {
@@ -216,7 +216,7 @@ ServeOptions parse_serve_args(const std::vector<std::string>& args) {
       options.tsu_capacity = static_cast<std::uint32_t>(
           parse_serve_uint("--tsu-capacity", value_of("--tsu-capacity=")));
     } else if (arg.rfind("--policy=", 0) == 0) {
-      options.policy = parse_serve_policy(value_of("--policy="));
+      options.exec.runtime.policy = parse_serve_policy(value_of("--policy="));
     } else if (arg.rfind("--guard=", 0) == 0) {
       if (!core::parse_guard_spec(value_of("--guard="), options.guard)) {
         throw TFluxError("tflux_serve: --guard expects off, sampled, "
@@ -224,7 +224,7 @@ ServeOptions parse_serve_args(const std::vector<std::string>& args) {
                          value_of("--guard=") + "'");
       }
     } else if (arg == "--no-dataplane") {
-      options.dataplane = false;
+      options.exec.runtime.dataplane = false;
     } else if (arg == "--serial") {
       options.serial = true;
     } else if (arg == "--check-tenant") {
@@ -242,7 +242,7 @@ ServeOptions parse_serve_args(const std::vector<std::string>& args) {
                        serve_usage());
     }
   }
-  if (options.partition_width > options.pool_kernels) {
+  if (options.exec.partition_width > options.exec.pool_kernels) {
     throw TFluxError("tflux_serve: --width must be <= --pool");
   }
   if (!options.trace_file.empty() && !options.check_midstream) {
@@ -265,7 +265,7 @@ int run_serve(const ServeOptions& options, std::ostream& out,
   // gives the baseline every kernel - the comparison is resident
   // partitions vs per-request full-pool spawn, not narrow vs wide).
   const std::uint16_t run_width =
-      options.serial ? options.pool_kernels : options.partition_width;
+      options.serial ? options.exec.pool_kernels : options.exec.partition_width;
   apps::DdmParams params;
   params.num_kernels = run_width;
   params.unroll = options.unroll;
@@ -282,7 +282,7 @@ int run_serve(const ServeOptions& options, std::ostream& out,
   std::size_t slots = options.apps.size();
   if (!options.serial) {
     const std::size_t partitions =
-        options.pool_kernels / options.partition_width;
+        options.exec.pool_kernels / options.exec.partition_width;
     while (slots < 2 * partitions) slots += options.apps.size();
   }
   std::vector<std::shared_ptr<apps::AppRun>> mix;
@@ -335,12 +335,8 @@ int run_serve(const ServeOptions& options, std::ostream& out,
       const std::size_t which = i % mix.size();
       apps::AppRun& app = *mix[which];
       if (per_program_runs[which] > 0 && app.reset) app.reset();
-      runtime::RuntimeOptions rt;
-      rt.num_kernels = options.pool_kernels;
-      rt.tsu_groups = options.tsu_groups;
-      rt.shards = options.shards;
-      rt.policy = options.policy;
-      rt.dataplane = options.dataplane;
+      runtime::RuntimeOptions rt = options.exec.runtime;
+      rt.num_kernels = options.exec.pool_kernels;
       rt.guard = options.guard;
       if (i == checked_index) rt.trace = &midstream_trace;
       runtime::Runtime runtime(app.program, rt);
@@ -370,16 +366,7 @@ int run_serve(const ServeOptions& options, std::ostream& out,
       handles.push_back(registry.add(mix[m]->program, mix[m],
                                      mix[m]->reset, mix[m]->name));
     }
-    runtime::ExecutorOptions exec;
-    exec.pool_kernels = options.pool_kernels;
-    exec.partition_width = options.partition_width;
-    exec.tsu_groups = options.tsu_groups;
-    exec.shards = options.shards;
-    exec.queue_capacity = options.queue_capacity;
-    exec.stage_depth = options.stage_depth;
-    exec.policy = options.policy;
-    exec.dataplane = options.dataplane;
-    runtime::Executor executor(registry, exec);
+    runtime::Executor executor(registry, options.exec);
 
     std::vector<std::future<runtime::RunResult>> futures;
     futures.reserve(options.requests);
@@ -432,10 +419,10 @@ int run_serve(const ServeOptions& options, std::ostream& out,
 
   out << "tflux_serve: " << options.requests << " request(s), mode "
       << (options.serial ? "serial" : "executor") << ", pool "
-      << options.pool_kernels << ", width " << run_width;
+      << options.exec.pool_kernels << ", width " << run_width;
   if (!options.serial) {
-    out << " (" << options.pool_kernels / options.partition_width
-        << " tenant partition(s), stage depth " << options.stage_depth
+    out << " (" << options.exec.pool_kernels / options.exec.partition_width
+        << " tenant partition(s), stage depth " << options.exec.stage_depth
         << ")";
   }
   out << "\n  apps: ";
@@ -559,13 +546,13 @@ int run_serve(const ServeOptions& options, std::ostream& out,
     json << "{\n"
          << "  \"mode\": \"" << (options.serial ? "serial" : "executor")
          << "\",\n"
-         << "  \"pool_kernels\": " << options.pool_kernels << ",\n"
+         << "  \"pool_kernels\": " << options.exec.pool_kernels << ",\n"
          << "  \"partition_width\": " << run_width << ",\n"
          << "  \"tenants\": "
          << (options.serial ? 1
-                            : options.pool_kernels / options.partition_width)
+                            : options.exec.pool_kernels / options.exec.partition_width)
          << ",\n"
-         << "  \"stage_depth\": " << options.stage_depth << ",\n"
+         << "  \"stage_depth\": " << options.exec.stage_depth << ",\n"
          << "  \"requests\": " << options.requests << ",\n"
          << "  \"offered_rate_rps\": " << options.rate << ",\n"
          << "  \"apps\": " << json_app_list(options.apps) << ",\n"

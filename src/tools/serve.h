@@ -16,18 +16,16 @@
 #include "apps/suite.h"
 #include "core/executor.h"
 #include "core/guard.h"
-#include "core/ready_set.h"
+#include "runtime/executor.h"
 
 namespace tflux::tools {
 
 struct ServeOptions {
-  /// Resident pool size; carved into pool/width tenant partitions.
-  std::uint16_t pool_kernels = 8;
-  std::uint16_t partition_width = 2;
-  std::uint16_t tsu_groups = 1;
-  std::uint16_t shards = 0;
-  std::size_t queue_capacity = 64;
-  std::uint16_t stage_depth = 2;
+  /// The pool (--pool, --width, --queue, --stage-depth) and the run
+  /// configuration (--tsu-groups, --shards, --policy, --no-dataplane).
+  /// Executor mode uses it as is; the --serial baseline runs
+  /// exec.runtime at num_kernels = exec.pool_kernels.
+  runtime::ExecutorOptions exec;
   /// Requests to replay.
   std::uint32_t requests = 64;
   /// Open-loop arrival rate in requests/second (exponential
@@ -42,10 +40,6 @@ struct ServeOptions {
   apps::SizeClass size = apps::SizeClass::kSmall;
   std::uint32_t unroll = 4;
   std::uint32_t tsu_capacity = 64;
-  core::PolicyKind policy = core::PolicyKind::kLocality;
-  /// Managed data plane per instance (default on; --no-dataplane is
-  /// the lean-serving ablation, applied to both modes symmetrically).
-  bool dataplane = true;
   /// Per-instance ddmguard mode applied to every admitted run.
   core::GuardOptions guard;
   /// Baseline mode: no executor - run each request on a fresh

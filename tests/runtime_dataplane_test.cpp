@@ -197,8 +197,8 @@ INSTANTIATE_TEST_SUITE_P(
                       replay(core::PolicyKind::kHier, 2, true, 0xEC)));
 
 // ---------------------------------------------------------------------------
-// Reuse: a Runtime keeps its execution record across runs and rewinds
-// it per run. At one kernel dispatch is deterministic, so every re-run
+// Reuse: every run of one Runtime gets a fresh execution record (its
+// run frame's). At one kernel dispatch is deterministic, so every re-run
 // must report exactly a fresh Runtime's first-run counters, and each
 // run's trace must replay (over a fresh record) to the same tallies.
 // ---------------------------------------------------------------------------

@@ -22,10 +22,17 @@
 //     load shedding via try_submit, tenant pinning.
 //   - Teardown: the destructor drains in-flight work; futures obtained
 //     before destruction are completed, never dangling.
+//   - One frame, two owners: a program run through Runtime and through
+//     a same-width Executor with the same non-default RuntimeOptions
+//     reports the same schedule-independent counters and the same
+//     trace metadata, and both traces replay clean. The Executor
+//     rejects RuntimeOptions fields it sets per instance.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <future>
 #include <memory>
+#include <string>
 #include <optional>
 #include <vector>
 
@@ -363,6 +370,151 @@ TEST(ResidentExecutor, StatsEpochReset) {
   st = executor.stats();
   EXPECT_EQ(st.completed, 1u);
   EXPECT_EQ(st.latency.count, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Executor-Runtime parity: both owners build the same RunFrame, so every
+// RuntimeOptions field reaches the executor's instances too.
+// ---------------------------------------------------------------------------
+
+struct ParityCounters {
+  std::uint64_t app_threads = 0;
+  std::uint64_t updates_processed = 0;
+  std::uint64_t blocks_loaded = 0;
+  std::uint64_t forwards = 0;
+  std::uint64_t bytes_forwarded = 0;
+};
+
+ParityCounters parity_counters(const runtime::RuntimeStats& st) {
+  ParityCounters c;
+  c.app_threads = st.total_app_threads_executed();
+  c.updates_processed = st.emulator.updates_processed;
+  c.blocks_loaded = st.emulator.blocks_loaded;
+  for (const runtime::KernelStats& k : st.kernels) {
+    c.forwards += k.forwards;
+    c.bytes_forwarded += k.bytes_forwarded;
+  }
+  return c;
+}
+
+/// Runs one QSORT program at width 2 through Runtime and through a
+/// width-2 Executor, both configured by `rt`, and checks the two runs
+/// agree. Returns the executor's stats for configuration-specific
+/// checks.
+runtime::RuntimeStats expect_parity(const runtime::RuntimeOptions& rt) {
+  constexpr std::uint16_t kWidth = 2;
+  auto app = make_app(apps::AppKind::kQsort, kWidth);
+
+  core::ExecTrace rt_trace;
+  runtime::RuntimeOptions direct = rt;
+  direct.num_kernels = kWidth;
+  direct.trace = &rt_trace;
+  const runtime::RuntimeStats via_runtime =
+      runtime::Runtime(app->program, direct).run();
+  EXPECT_TRUE(app->validate());
+
+  core::ProgramRegistry registry;
+  const core::ProgramHandle handle = register_app(registry, app);
+  ExecutorOptions options;
+  options.pool_kernels = kWidth;
+  options.partition_width = kWidth;
+  options.runtime = rt;
+  core::ExecTrace exec_trace;
+  RunRequest req = request_for(handle);
+  req.trace = &exec_trace;
+  RunResult result;
+  {
+    Executor executor(registry, options);
+    result = executor.submit(req).get();
+  }
+  EXPECT_TRUE(app->validate());
+
+  const ParityCounters a = parity_counters(via_runtime);
+  const ParityCounters b = parity_counters(result.stats);
+  EXPECT_EQ(a.app_threads, app->program.num_app_threads());
+  EXPECT_EQ(a.app_threads, b.app_threads);
+  EXPECT_EQ(a.updates_processed, b.updates_processed);
+  EXPECT_EQ(a.blocks_loaded, b.blocks_loaded);
+  EXPECT_EQ(a.forwards, b.forwards);
+  EXPECT_EQ(a.bytes_forwarded, b.bytes_forwarded);
+
+  EXPECT_EQ(rt_trace.program, exec_trace.program);
+  EXPECT_EQ(rt_trace.kernels, exec_trace.kernels);
+  EXPECT_EQ(rt_trace.groups, exec_trace.groups);
+  EXPECT_EQ(rt_trace.policy, exec_trace.policy);
+  EXPECT_EQ(rt_trace.pipelined, exec_trace.pipelined);
+  EXPECT_EQ(rt_trace.lockfree, exec_trace.lockfree);
+  EXPECT_EQ(rt_trace.shards, exec_trace.shards);
+  EXPECT_EQ(rt_trace.coalesce, exec_trace.coalesce);
+  EXPECT_EQ(rt_trace.dataplane, exec_trace.dataplane);
+  EXPECT_FALSE(exec_trace.truncated);
+  EXPECT_EQ(exec_trace.lockfree, rt.lockfree);
+  EXPECT_EQ(exec_trace.policy, core::to_string(rt.policy));
+  for (const core::ExecTrace* trace : {&rt_trace, &exec_trace}) {
+    const core::CheckReport report = core::check_trace(app->program, *trace);
+    EXPECT_TRUE(report.clean()) << report.to_string(app->program);
+  }
+  return result.stats;
+}
+
+TEST(ExecutorRuntimeParity, ThreadIndexingOffReachesTheExecutor) {
+  runtime::RuntimeOptions rt;
+  rt.thread_indexing = false;
+  const runtime::RuntimeStats st = expect_parity(rt);
+  // Without the TKT every update searches the SM.
+  EXPECT_GT(st.emulator.sm_search_steps, 0u);
+}
+
+TEST(ExecutorRuntimeParity, MutexTubSegmentGeometryReachesTheExecutor) {
+  runtime::RuntimeOptions rt;
+  rt.lockfree = false;
+  rt.tub_segments = 2;
+  rt.tub_segment_capacity = 4;
+  const runtime::RuntimeStats st = expect_parity(rt);
+  EXPECT_GT(st.tub.entries_published, 0u);
+}
+
+TEST(ExecutorRuntimeParity, AdaptiveBacklogReachesTheExecutor) {
+  runtime::RuntimeOptions rt;
+  rt.policy = core::PolicyKind::kAdaptive;
+  rt.adaptive_backlog = 0;
+  expect_parity(rt);
+}
+
+TEST(ExecutorRuntimeParity, RejectsPerInstanceFieldsInRuntimeOptions) {
+  core::ProgramRegistry registry;
+  auto expect_rejected = [&](const std::function<void(ExecutorOptions&)>& set,
+                             const std::string& names) {
+    ExecutorOptions options;
+    options.pool_kernels = 2;
+    options.partition_width = 2;
+    set(options);
+    try {
+      Executor executor(registry, options);
+      ADD_FAILURE() << "accepted a configuration that should name " << names;
+    } catch (const core::TFluxError& e) {
+      EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+          << e.what();
+    }
+  };
+  core::ExecTrace trace;
+  expect_rejected([](ExecutorOptions& o) { o.runtime.num_kernels = 2; },
+                  "partition_width");
+  expect_rejected([&](ExecutorOptions& o) { o.runtime.trace = &trace; },
+                  "RunRequest");
+  expect_rejected(
+      [](ExecutorOptions& o) {
+        o.runtime.trace_emergency = [](core::ExecTrace&) {};
+      },
+      "RunRequest");
+  expect_rejected(
+      [](ExecutorOptions& o) { o.runtime.guard.mode = core::GuardMode::kFull; },
+      "RunRequest");
+  // The range checks are Runtime's, applied at partition width.
+  expect_rejected([](ExecutorOptions& o) { o.runtime.shards = 3; },
+                  "partition_width");
+  expect_rejected([](ExecutorOptions& o) { o.runtime.tsu_groups = 3; },
+                  "partition_width");
 }
 
 }  // namespace
