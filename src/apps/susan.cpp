@@ -1,33 +1,22 @@
 #include "apps/susan.h"
 
-#include <cmath>
+#include <algorithm>
 #include <memory>
 #include <string>
 
+#include "apps/susan_smooth.h"
 #include "core/unroll.h"
 #include "sim/rng.h"
 
 namespace tflux::apps {
 namespace {
 
-constexpr int kMaskRadius = 3;             // 7x7 neighborhood
-constexpr double kBrightnessThreshold = 20.0;
-
 struct SusanBuffers {
   std::uint32_t width = 0, height = 0;
   std::vector<std::uint8_t> input;
   std::vector<std::uint8_t> smoothed;
   std::vector<std::uint8_t> output;  // the "large output array"
-  std::vector<double> lut;           // similarity lookup table
 };
-
-void build_lut(SusanBuffers& buf) {
-  buf.lut.resize(512);
-  for (int d = -255; d <= 255; ++d) {
-    const double x = static_cast<double>(d) / kBrightnessThreshold;
-    buf.lut[static_cast<std::size_t>(d + 255)] = std::exp(-x * x);
-  }
-}
 
 /// Deterministic synthetic image: smooth gradients + speckle noise -
 /// exercises both the flat and edge paths of the filter.
@@ -43,43 +32,6 @@ void init_rows(SusanBuffers& buf, std::uint32_t row_begin,
           static_cast<std::uint32_t>(rng.next_below(24));
       buf.input[static_cast<std::size_t>(y) * w + x] =
           static_cast<std::uint8_t>((base + noise) & 0xFFu);
-    }
-  }
-}
-
-void smooth_rows(SusanBuffers& buf, std::uint32_t row_begin,
-                 std::uint32_t row_end) {
-  const int w = static_cast<int>(buf.width);
-  const int h = static_cast<int>(buf.height);
-  for (std::uint32_t y = row_begin; y < row_end; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const int center =
-          buf.input[static_cast<std::size_t>(y) * buf.width +
-                    static_cast<std::uint32_t>(x)];
-      double total = 0.0, weight_sum = 0.0;
-      for (int dy = -kMaskRadius; dy <= kMaskRadius; ++dy) {
-        const int yy = static_cast<int>(y) + dy;
-        if (yy < 0 || yy >= h) continue;
-        for (int dx = -kMaskRadius; dx <= kMaskRadius; ++dx) {
-          const int xx = x + dx;
-          if (xx < 0 || xx >= w) continue;
-          if (dx == 0 && dy == 0) continue;
-          const int v = buf.input[static_cast<std::size_t>(yy) * buf.width +
-                                  static_cast<std::uint32_t>(xx)];
-          const double wgt =
-              buf.lut[static_cast<std::size_t>(v - center + 255)];
-          total += wgt * v;
-          weight_sum += wgt;
-        }
-      }
-      std::uint8_t result;
-      if (weight_sum > 1e-9) {
-        result = static_cast<std::uint8_t>(total / weight_sum + 0.5);
-      } else {
-        result = static_cast<std::uint8_t>(center);  // isolated pixel
-      }
-      buf.smoothed[static_cast<std::size_t>(y) * buf.width +
-                   static_cast<std::uint32_t>(x)] = result;
     }
   }
 }
@@ -125,9 +77,9 @@ std::vector<std::uint8_t> susan_sequential(const SusanInput& input) {
   buf.input.assign(input.pixels(), 0);
   buf.smoothed.assign(input.pixels(), 0);
   buf.output.assign(input.pixels(), 0);
-  build_lut(buf);
   init_rows(buf, 0, input.height);
-  smooth_rows(buf, 0, input.height);
+  smooth_rows(buf.input.data(), buf.smoothed.data(), buf.width, buf.height,
+              0, buf.height);
   write_rows(buf, 0, input.height);
   return buf.output;
 }
@@ -139,7 +91,6 @@ AppRun build_susan(const SusanInput& input, const DdmParams& params) {
   buffers->input.assign(input.pixels(), 0);
   buffers->smoothed.assign(input.pixels(), 0);
   buffers->output.assign(input.pixels(), 0);
-  build_lut(*buffers);
 
   const std::uint32_t w = input.width;
   const std::uint32_t h = input.height;
@@ -181,9 +132,10 @@ AppRun build_susan(const SusanInput& input, const DdmParams& params) {
     fp.compute(static_cast<core::Cycles>(c.size()) * w *
                kSusanProcCyclesPerPixel);
     // Reads its rows plus the mask-radius halo above and below.
-    const std::int64_t r0 = std::max<std::int64_t>(0, c.begin - kMaskRadius);
+    const std::int64_t r0 =
+        std::max<std::int64_t>(0, c.begin - kSusanSmoothRadius);
     const std::int64_t r1 =
-        std::min<std::int64_t>(h, c.end + kMaskRadius);
+        std::min<std::int64_t>(h, c.end + kSusanSmoothRadius);
     const auto [raddr, rbytes] = row_range(kArenaA, r0, r1);
     fp.read(raddr, rbytes);
     const auto [waddr, wbytes] = row_range(kArenaB, c.begin, c.end);
@@ -191,7 +143,9 @@ AppRun build_susan(const SusanInput& input, const DdmParams& params) {
     builder.add_thread(
         blocks.next(), "proc" + std::to_string(i),
         [buffers, c](const core::ExecContext&) {
-          smooth_rows(*buffers, static_cast<std::uint32_t>(c.begin),
+          SusanBuffers& buf = *buffers;
+          smooth_rows(buf.input.data(), buf.smoothed.data(), buf.width,
+                      buf.height, static_cast<std::uint32_t>(c.begin),
                       static_cast<std::uint32_t>(c.end));
         },
         std::move(fp));

@@ -1,44 +1,25 @@
 #include "apps/susan_pipeline.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <string>
 
+#include "apps/susan_smooth.h"
 #include "sim/rng.h"
 
 namespace tflux::apps {
 namespace {
 
-constexpr int kSmoothRadius = 3;  // 7x7 similarity neighborhood
 constexpr int kEdgeRadius = 1;    // 3x3 gradient
 constexpr int kCornerRadius = 2;  // 5x5 non-maximum suppression
-constexpr double kBrightnessThreshold = 20.0;
 constexpr int kEdgeThreshold = 60;
 constexpr int kCornerThreshold = 25;
-
-struct PipeBuffers {
-  std::uint32_t width = 0, height = 0;
-  std::vector<std::uint8_t> input;    // kArenaA, 1 B/px
-  std::vector<std::uint8_t> smoothed; // kArenaB, 1 B/px
-  std::vector<std::int16_t> edge;     // kArenaC, 2 B/px
-  std::vector<std::uint8_t> corner;   // kArenaD, 1 B/px
-  std::vector<double> lut;            // similarity lookup table
-};
-
-void build_lut(PipeBuffers& buf) {
-  buf.lut.resize(512);
-  for (int d = -255; d <= 255; ++d) {
-    const double x = static_cast<double>(d) / kBrightnessThreshold;
-    buf.lut[static_cast<std::size_t>(d + 255)] = std::exp(-x * x);
-  }
-}
 
 /// Deterministic synthetic frame: a gradient whose phase advances with
 /// the frame number plus per-row speckle noise - every frame rewrites
 /// the whole input plane, as a camera feed would.
-void init_rows(PipeBuffers& buf, std::uint32_t frame,
+void init_rows(SusanPipePlanes& buf, std::uint32_t frame,
                std::uint32_t row_begin, std::uint32_t row_end) {
   const std::uint32_t w = buf.width;
   for (std::uint32_t y = row_begin; y < row_end; ++y) {
@@ -54,75 +35,45 @@ void init_rows(PipeBuffers& buf, std::uint32_t frame,
   }
 }
 
-void smooth_rows(PipeBuffers& buf, std::uint32_t row_begin,
-                 std::uint32_t row_end) {
-  const int w = static_cast<int>(buf.width);
-  const int h = static_cast<int>(buf.height);
-  for (std::uint32_t y = row_begin; y < row_end; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const int center =
-          buf.input[static_cast<std::size_t>(y) * buf.width +
-                    static_cast<std::uint32_t>(x)];
-      double total = 0.0, weight_sum = 0.0;
-      for (int dy = -kSmoothRadius; dy <= kSmoothRadius; ++dy) {
-        const int yy = static_cast<int>(y) + dy;
-        if (yy < 0 || yy >= h) continue;
-        for (int dx = -kSmoothRadius; dx <= kSmoothRadius; ++dx) {
-          const int xx = x + dx;
-          if (xx < 0 || xx >= w) continue;
-          if (dx == 0 && dy == 0) continue;
-          const int v =
-              buf.input[static_cast<std::size_t>(yy) * buf.width +
-                        static_cast<std::uint32_t>(xx)];
-          const double wgt =
-              buf.lut[static_cast<std::size_t>(v - center + 255)];
-          total += wgt * v;
-          weight_sum += wgt;
-        }
-      }
-      std::uint8_t result;
-      if (weight_sum > 1e-9) {
-        result = static_cast<std::uint8_t>(total / weight_sum + 0.5);
-      } else {
-        result = static_cast<std::uint8_t>(center);  // isolated pixel
-      }
-      buf.smoothed[static_cast<std::size_t>(y) * buf.width +
-                   static_cast<std::uint32_t>(x)] = result;
-    }
-  }
+/// Gradient response at column m of row `mid` from the 3x3 neighbourhood
+/// spanned by rows up/mid/down and columns l/m/r.
+std::int16_t edge_at(const std::uint8_t* up, const std::uint8_t* mid,
+                     const std::uint8_t* down, int l, int m, int r) {
+  const int gx =
+      (up[r] + 2 * mid[r] + down[r]) - (up[l] + 2 * mid[l] + down[l]);
+  const int gy =
+      (down[l] + 2 * down[m] + down[r]) - (up[l] + 2 * up[m] + up[r]);
+  return static_cast<std::int16_t>(
+      std::clamp(std::abs(gx) + std::abs(gy) - kEdgeThreshold, 0, 32767));
 }
 
-void edge_rows(PipeBuffers& buf, std::uint32_t row_begin,
+/// Out-of-plane neighbours read the nearest edge pixel: rows are clamped
+/// once per row, columns only at the first and last pixel.
+void edge_rows(SusanPipePlanes& buf, std::uint32_t row_begin,
                std::uint32_t row_end) {
   const int w = static_cast<int>(buf.width);
   const int h = static_cast<int>(buf.height);
-  auto at = [&buf, w, h](int y, int x) -> int {
-    y = std::clamp(y, 0, h - 1);
-    x = std::clamp(x, 0, w - 1);
-    return buf.smoothed[static_cast<std::size_t>(y) * buf.width +
-                        static_cast<std::uint32_t>(x)];
+  if (w == 0) return;
+  const int last = w - 1;
+  auto plane_row = [&buf](int y) {
+    return buf.smoothed.data() + static_cast<std::size_t>(y) * buf.width;
   };
   for (std::uint32_t y = row_begin; y < row_end; ++y) {
     const int yi = static_cast<int>(y);
-    for (int x = 0; x < w; ++x) {
-      const int gx = (at(yi - 1, x + 1) + 2 * at(yi, x + 1) +
-                      at(yi + 1, x + 1)) -
-                     (at(yi - 1, x - 1) + 2 * at(yi, x - 1) +
-                      at(yi + 1, x - 1));
-      const int gy = (at(yi + 1, x - 1) + 2 * at(yi + 1, x) +
-                      at(yi + 1, x + 1)) -
-                     (at(yi - 1, x - 1) + 2 * at(yi - 1, x) +
-                      at(yi - 1, x + 1));
-      const int response =
-          std::clamp(std::abs(gx) + std::abs(gy) - kEdgeThreshold, 0, 32767);
-      buf.edge[static_cast<std::size_t>(y) * buf.width +
-               static_cast<std::uint32_t>(x)] =
-          static_cast<std::int16_t>(response);
+    const std::uint8_t* up = plane_row(std::max(yi - 1, 0));
+    const std::uint8_t* mid = plane_row(yi);
+    const std::uint8_t* down = plane_row(std::min(yi + 1, h - 1));
+    std::int16_t* out =
+        buf.edge.data() + static_cast<std::size_t>(y) * buf.width;
+    out[0] = edge_at(up, mid, down, 0, 0, std::min(1, last));
+    for (int x = 1; x < last; ++x) {
+      out[x] = edge_at(up, mid, down, x - 1, x, x + 1);
     }
+    if (last > 0) out[last] = edge_at(up, mid, down, last - 1, last, last);
   }
 }
 
-void corner_rows(PipeBuffers& buf, std::uint32_t row_begin,
+void corner_rows(SusanPipePlanes& buf, std::uint32_t row_begin,
                  std::uint32_t row_end) {
   const int w = static_cast<int>(buf.width);
   const int h = static_cast<int>(buf.height);
@@ -155,22 +106,22 @@ void corner_rows(PipeBuffers& buf, std::uint32_t row_begin,
 }
 
 /// One full frame, sequentially (the reference path).
-void run_frame(PipeBuffers& buf, std::uint32_t frame) {
+void run_frame(SusanPipePlanes& buf, std::uint32_t frame) {
   init_rows(buf, frame, 0, buf.height);
-  smooth_rows(buf, 0, buf.height);
+  smooth_rows(buf.input.data(), buf.smoothed.data(), buf.width, buf.height, 0,
+              buf.height);
   edge_rows(buf, 0, buf.height);
   corner_rows(buf, 0, buf.height);
 }
 
-PipeBuffers make_buffers(const SusanPipeInput& input) {
-  PipeBuffers buf;
+SusanPipePlanes make_buffers(const SusanPipeInput& input) {
+  SusanPipePlanes buf;
   buf.width = input.width;
   buf.height = input.height;
   buf.input.assign(input.pixels(), 0);
   buf.smoothed.assign(input.pixels(), 0);
   buf.edge.assign(input.pixels(), 0);
   buf.corner.assign(input.pixels(), 0);
-  build_lut(buf);
   return buf;
 }
 
@@ -197,17 +148,21 @@ SusanPipeInput susan_pipe_input(SizeClass size) {
   return SusanPipeInput{256, 288, 24, 3};
 }
 
-std::vector<std::uint8_t> susan_pipe_sequential(const SusanPipeInput& input) {
+SusanPipePlanes susan_pipe_reference(const SusanPipeInput& input) {
   // Every frame rewrites all four planes in full, so the final state
   // is that of the last frame alone.
-  PipeBuffers buf = make_buffers(input);
+  SusanPipePlanes buf = make_buffers(input);
   run_frame(buf, input.frames == 0 ? 0 : input.frames - 1);
-  return buf.corner;
+  return buf;
+}
+
+std::vector<std::uint8_t> susan_pipe_sequential(const SusanPipeInput& input) {
+  return susan_pipe_reference(input).corner;
 }
 
 AppRun build_susan_pipeline(const SusanPipeInput& input,
                             const DdmParams& params) {
-  auto buffers = std::make_shared<PipeBuffers>(make_buffers(input));
+  auto buffers = std::make_shared<SusanPipePlanes>(make_buffers(input));
   const std::uint32_t w = input.width;
   const std::uint32_t h = input.height;
   const std::uint32_t frames = input.frames == 0 ? 1 : input.frames;
@@ -275,7 +230,7 @@ AppRun build_susan_pipeline(const SusanPipeInput& input,
     blocks.fresh();
     for (std::uint32_t s = 0; s < strips; ++s) {
       const auto [r0, r1] = strip_rows(h, strips, s);
-      const auto halo = static_cast<std::uint32_t>(kSmoothRadius);
+      const auto halo = static_cast<std::uint32_t>(kSusanSmoothRadius);
       const std::uint32_t h0 = r0 >= halo ? r0 - halo : 0;
       const std::uint32_t h1 = std::min(h, r1 + halo);
       core::Footprint fp;
@@ -288,7 +243,9 @@ AppRun build_susan_pipeline(const SusanPipeInput& input,
       smooth_ids.push_back(builder.add_thread(
           blocks.next(), tag + "smooth" + std::to_string(s),
           [buffers, r0, r1](const core::ExecContext&) {
-            smooth_rows(*buffers, r0, r1);
+            SusanPipePlanes& buf = *buffers;
+            smooth_rows(buf.input.data(), buf.smoothed.data(), buf.width,
+                        buf.height, r0, r1);
           },
           std::move(fp)));
     }
@@ -337,7 +294,7 @@ AppRun build_susan_pipeline(const SusanPipeInput& input,
           std::move(fp)));
     }
 
-    link_stages(init_ids, smooth_ids, kSmoothRadius);
+    link_stages(init_ids, smooth_ids, kSusanSmoothRadius);
     link_stages(smooth_ids, edge_ids, kEdgeRadius);
     link_stages(edge_ids, corner_ids, kCornerRadius);
   }
@@ -351,10 +308,7 @@ AppRun build_susan_pipeline(const SusanPipeInput& input,
   run.program = builder.build(options);
   run.buffers = buffers;
   run.validate = [buffers, input] {
-    PipeBuffers ref = make_buffers(input);
-    run_frame(ref, input.frames == 0 ? 0 : input.frames - 1);
-    return buffers->input == ref.input && buffers->smoothed == ref.smoothed &&
-           buffers->edge == ref.edge && buffers->corner == ref.corner;
+    return *buffers == susan_pipe_reference(input);
   };
   // Sequential baseline: the four loops back to back, once per frame.
   for (std::uint32_t frame = 0; frame < frames; ++frame) {

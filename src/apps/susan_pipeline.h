@@ -36,6 +36,20 @@ struct SusanPipeInput {
 
 SusanPipeInput susan_pipe_input(SizeClass size);
 
+/// The pipeline's four row-major planes, one per stage.
+struct SusanPipePlanes {
+  std::uint32_t width = 0, height = 0;
+  std::vector<std::uint8_t> input;     // kArenaA, 1 B/px
+  std::vector<std::uint8_t> smoothed;  // kArenaB, 1 B/px
+  std::vector<std::int16_t> edge;      // kArenaC, 2 B/px
+  std::vector<std::uint8_t> corner;    // kArenaD, 1 B/px
+
+  bool operator==(const SusanPipePlanes&) const = default;
+};
+
+/// Sequential reference state after the last frame, every plane.
+SusanPipePlanes susan_pipe_reference(const SusanPipeInput& input);
+
 /// Sequential reference state after the last frame: the corner map
 /// (the pipeline's output plane).
 std::vector<std::uint8_t> susan_pipe_sequential(const SusanPipeInput& input);

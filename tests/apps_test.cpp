@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <numbers>
 #include <tuple>
+#include <vector>
 
 #include "apps/fft.h"
 #include "apps/mmult.h"
@@ -145,6 +147,51 @@ TEST(SusanPipeTest, StagesTileAtMisalignedGranularities) {
   // Per frame: init T + smooth T + edge 2T + corner T app threads.
   EXPECT_EQ(run.program.num_app_threads(), in.frames * 5 * in.strips);
   EXPECT_FALSE(run.program.cross_block_arcs().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Golden digests: FNV-1a-64 of the SUSAN reference planes, recorded from
+// the plain per-pixel smoothing loop the shared kernel replaced. Any
+// drift in an output byte (a changed summation order, FMA contraction
+// under other compiler flags) changes a digest.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Each value as its two bytes, low first.
+std::uint64_t fnv1a64(const std::vector<std::int16_t>& values) {
+  std::vector<std::uint8_t> bytes;
+  for (const std::int16_t v : values) {
+    const auto u = static_cast<std::uint16_t>(v);
+    bytes.push_back(static_cast<std::uint8_t>(u & 0xFFu));
+    bytes.push_back(static_cast<std::uint8_t>(u >> 8));
+  }
+  return fnv1a64(bytes);
+}
+
+TEST(SusanGoldenTest, SequentialOutputDigests) {
+  EXPECT_EQ(fnv1a64(susan_sequential(susan_input(SizeClass::kSmall))),
+            0x95ed417edb1572cbull);
+  EXPECT_EQ(fnv1a64(susan_sequential(susan_input(SizeClass::kMedium))),
+            0x414ea30548927a37ull);
+  EXPECT_EQ(fnv1a64(susan_sequential(susan_input(SizeClass::kLarge))),
+            0x2d6c0c03bac09636ull);
+}
+
+TEST(SusanGoldenTest, PipelineMediumPlaneDigests) {
+  const SusanPipePlanes ref =
+      susan_pipe_reference(susan_pipe_input(SizeClass::kMedium));
+  EXPECT_EQ(fnv1a64(ref.input), 0x2608c01e5b42a694ull);
+  EXPECT_EQ(fnv1a64(ref.smoothed), 0x38fa91d3f35ad4c3ull);
+  EXPECT_EQ(fnv1a64(ref.edge), 0xb3af5c3552015943ull);
+  EXPECT_EQ(fnv1a64(ref.corner), 0xd86fa7630fb3c0afull);
 }
 
 // ---------------------------------------------------------------------------
