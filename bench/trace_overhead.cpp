@@ -1,8 +1,8 @@
 // Overhead of ddmcheck execution tracing (RuntimeOptions::trace) on
 // the native TFluxSoft runtime. Tracing must be cheap enough to leave
-// on while reproducing results: each event is one relaxed ticket
-// fetch_add plus an SPSC push into the actor's private lane, drained
-// by a flusher thread off the critical path. This bench runs each
+// on while reproducing results: each event is an append to the
+// actor's own lane stamped with the lane's Lamport clock, with no
+// shared counter and no background thread. This bench runs each
 // workload with tracing off (the default null sink - one predictable
 // branch per event) and on (fresh trace per run), and reports the
 // relative wall-time cost. Target: < 5% traced on real benchmarks.

@@ -274,7 +274,7 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
   Collector out(report, options);
 
   // Replay in seq order. Recorded and loaded traces already are
-  // (TraceLog merges its seq-ordered lanes, load_trace sorts); only
+  // (TraceLog renumbers its merged lanes, load_trace sorts); only
   // traces assembled by hand pay for a sorted copy.
   const auto by_seq = [](const TraceRecord& a, const TraceRecord& b) {
     return a.seq < b.seq;

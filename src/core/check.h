@@ -104,7 +104,7 @@ struct StealTally {
 /// and each application completion accounts its bulk forwards with the
 /// trace's coalesce mode. A run's reported dataplane stats must
 /// reconcile *exactly* against this tally: every producer's updates
-/// are published after its Complete ticket and every consumer
+/// are published after its Complete record and every consumer
 /// dispatches only after all its producers' updates, so no scoring in
 /// the live run can observe a producer between its dispatch and its
 /// execution record.

@@ -58,12 +58,13 @@ enum class TraceEvent : std::uint8_t {
 /// Stable kebab-case name of an event (e.g. "shadow-decrement").
 const char* to_string(TraceEvent event);
 
-/// One fixed-size trace record. `seq` is a global sequence ticket
-/// drawn from a single atomic counter at the instant the event
-/// happened; because every cross-thread handoff in the runtime is a
-/// release/acquire pair, sorting by seq yields a linearization
-/// consistent with happens-before - the property the offline checker
-/// replays against.
+/// One fixed-size trace record. `seq` is the record's position in the
+/// merged trace: the runtime stamps each record with its lane's
+/// Lamport clock, carried across every release/acquire handoff, and
+/// renumbers seq 0..n-1 after merging the lanes by (clock, lane), so
+/// sorting by seq yields a linearization consistent with
+/// happens-before - the property the offline checker replays against
+/// (runtime/trace_log.h).
 struct TraceRecord {
   std::uint64_t seq = 0;
   TraceEvent event = TraceEvent::kDispatch;

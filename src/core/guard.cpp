@@ -120,8 +120,8 @@ void Guard::trip(FindingCode code, ThreadId thread, ThreadId other,
       violations_.push_back(std::move(v));
     }
   }
-  // The one-shot callback runs outside the mutex: it typically asks
-  // the TraceLog flusher to persist the in-flight trace prefix.
+  // The one-shot callback runs outside the mutex: it typically has
+  // the TraceLog persist the in-flight trace prefix.
   if (!callback_fired_.exchange(true, std::memory_order_acq_rel) &&
       on_first_violation_) {
     on_first_violation_();

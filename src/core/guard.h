@@ -14,11 +14,11 @@
 // a line the hook's call site already touches; the *ordering* needed
 // to check monotonicity is not re-established here but piggybacked on
 // the runtime's release/acquire handoffs, exactly like the ddmtrace
-// sequence tickets: any two causally ordered protocol events reach
+// Lamport clocks: any two causally ordered protocol events reach
 // their hooks in causal order, so a state regression observed by a
 // fetch_add really is a protocol violation, not a reordering artifact.
 // Per-lane (kernel or emulator group) Lamport-style event clocks count
-// hook invocations for the same reason trace seq tickets work - they
+// hook invocations for the same reason the trace's clocks work - they
 // give each violation a position in the causal order at trip time.
 //
 // Checked invariants (full mode; see sampled() for what sampling

@@ -4,12 +4,16 @@
 // Outlet frees it and chains to the next block; the last Outlet ends
 // the program).
 //
-// Every platform TSU wraps this class:
-//   runtime::TsuEmulator  - software TSU thread fed by the TUB
-//   machine::HardTsu      - memory-mapped hardware device (TFluxHard)
-//   cell::PpeTsu          - command-buffer/mailbox protocol on the PPE
+// The simulated platforms and the reference scheduler drive this
+// class:
+//   machine::Machine         - TFluxHard's memory-mapped TSU device
+//   cell::CellMachine        - TFluxCell's PPE-side TSU
+//   core::ReferenceScheduler - the untimed reference execution
+// The native runtime does not: runtime::TsuEmulator keeps its own
+// Ready Counts in the Synchronization Memory (runtime/sync_memory.h)
+// and its own dispatch placement, so the two TSUs are separate code.
 //
-// TsuState itself is single-threaded; wrappers serialize access (the
+// TsuState itself is single-threaded; its owners serialize access (the
 // paper's TSU Group is one unit precisely so TSU-to-TSU traffic stays
 // internal).
 #pragma once

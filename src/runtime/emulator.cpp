@@ -205,8 +205,9 @@ void TsuEmulator::dispatch(core::ThreadId tid) {
     }
   }
   account_dataplane(tid, target);
-  // Ticket drawn before the id is staged: the Dispatch seq always
-  // precedes the Complete seq the receiving kernel will draw.
+  // Recorded before the id is staged: the Dispatch clock is published
+  // before the mailbox handoff, so it precedes the receiving kernel's
+  // Complete.
   if (options_.trace) {
     options_.trace->record(trace_lane_, core::TraceEvent::kDispatch, tid,
                            target);
@@ -454,7 +455,7 @@ bool TsuEmulator::handle_update(const TubEntry& entry) {
 
 void TsuEmulator::activate_block(core::BlockId block, bool dispatch_inlet) {
   const core::Block& blk = program_.block(block);
-  // Activation ticket drawn before any of the block's dispatches.
+  // Activation recorded before any of the block's dispatches.
   if (options_.trace) {
     options_.trace->record(trace_lane_,
                            options_.block_pipeline
@@ -525,6 +526,7 @@ void TsuEmulator::run() {
     tub_.wait_nonempty();
     buf.clear();
     if (tub_.drain(buf) == 0) continue;
+    if (options_.trace) options_.trace->receive(trace_lane_);
     ++stats_.drain_sweeps;
     for (const TubEntry& e : buf) {
       switch (e.kind) {

@@ -142,13 +142,15 @@ void pin_self_to_cpu(unsigned cpu) {
   (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
 }
 
-RunFrame::RunFrame(const core::Program& program, const RuntimeOptions& options)
+RunFrame::RunFrame(const core::Program& program, const RuntimeOptions& options,
+                   std::unique_ptr<TraceLog> trace_log)
     : program_(program),
       options_(options),
       groups_(tsu_group_count(options)),
       shard_map_(shard_map_for(options)),
       sm_(program, options.num_kernels),
-      tubs_(program, sm_, tub_options(options, groups_, shard_map())) {
+      tubs_(program, sm_, tub_options(options, groups_, shard_map())),
+      trace_log_(std::move(trace_log)) {
   const std::uint16_t width = options_.num_kernels;
   const core::ShardMap* map = shard_map();
   sm_.set_shard_map(map);
@@ -176,9 +178,13 @@ RunFrame::RunFrame(const core::Program& program, const RuntimeOptions& options)
 
   if (options_.trace != nullptr) {
     // One lane per actor of this frame (kernels 0..W-1, emulators
-    // W..W+G-1), so the trace covers exactly this run and replays
-    // standalone through tflux_check.
-    trace_log_ = std::make_unique<TraceLog>(width, groups_);
+    // W..W+G-1), rewound so the trace covers exactly this run and
+    // replays standalone through tflux_check.
+    if (trace_log_) {
+      trace_log_->rewind();
+    } else {
+      trace_log_ = std::make_unique<TraceLog>(width, groups_);
+    }
     if (options_.trace_emergency) {
       // Abnormal teardown (an exception unwinding through the owner,
       // or exit() mid-run): persist the record prefix as a trace
@@ -293,7 +299,7 @@ void RunFrame::describe(core::ExecTrace& trace) const {
 
 void RunFrame::fill_trace(core::ExecTrace& trace) {
   describe(trace);
-  trace.records = trace_log_->finish();
+  trace_log_->finish(trace.records);
 }
 
 }  // namespace tflux::runtime

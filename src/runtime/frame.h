@@ -57,8 +57,11 @@ void pin_self_to_cpu(unsigned cpu);
 class RunFrame {
  public:
   /// Builds every actor of one run. Throws core::TFluxError when the
-  /// requested fault injection cannot be carried out.
-  RunFrame(const core::Program& program, const RuntimeOptions& options);
+  /// requested fault injection cannot be carried out. A traced frame
+  /// rewinds and uses `trace_log` (a previous frame's, handed back by
+  /// release_trace_log()) or, when it is null, builds its own.
+  RunFrame(const core::Program& program, const RuntimeOptions& options,
+           std::unique_ptr<TraceLog> trace_log = nullptr);
 
   RunFrame(const RunFrame&) = delete;  // actors point into the frame
   RunFrame& operator=(const RunFrame&) = delete;
@@ -74,10 +77,15 @@ class RunFrame {
   /// Per-run counters; call after every role has returned.
   RuntimeStats stats(double wall_seconds) const;
 
-  /// Fill `trace` with the run's configuration and its merged records.
-  /// Only for a traced frame (options.trace set), after every role has
-  /// returned.
+  /// Fill `trace` with the run's configuration and its merged records
+  /// (reusing the capacity of trace.records). Only for a traced frame
+  /// (options.trace set), after every role has returned.
   void fill_trace(core::ExecTrace& trace);
+
+  /// Hand the finished TraceLog to the owner's next frame.
+  std::unique_ptr<TraceLog> release_trace_log() {
+    return std::move(trace_log_);
+  }
 
  private:
   /// The ExecTrace metadata block (everything but the records).

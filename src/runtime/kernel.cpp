@@ -39,8 +39,8 @@ void Kernel::post_process(const core::DThread& t) {
       tubs_.publish_load_block(t.block, id_);
       break;
     case core::ThreadKind::kOutlet:
-      // Recorded before the publish so the OutletDone ticket precedes
-      // every ticket the next block's activation draws.
+      // Recorded before the publish so OutletDone precedes every record
+      // of the next block's activation.
       if (trace_) {
         trace_->record(id_, core::TraceEvent::kOutletDone, t.block, 0);
       }
@@ -91,6 +91,7 @@ void Kernel::run() {
   std::array<core::ThreadId, kMailboxBatch> batch{};
   for (;;) {
     const std::size_t n = mailbox_.take_n(batch.data(), batch.size());
+    if (trace_) trace_->receive(id_);
     stats_.mailbox_backlog_peak = std::max<std::uint64_t>(
         stats_.mailbox_backlog_peak, mailbox_.occupancy());
     for (std::size_t i = 0; i < n; ++i) {
@@ -129,7 +130,7 @@ void Kernel::execute(core::ThreadId tid) {
       stats_.bytes_forwarded += run.bytes;
     }
   }
-  // Epoch stamp before the Complete ticket: the execute event takes
+  // Epoch stamp before the Complete record: the execute event takes
   // its place in the causal order ahead of everything this
   // completion publishes.
   guard_.execute(tid);

@@ -13,8 +13,11 @@
 // `parked = true`, re-checks for data, and only then blocks; the
 // producer stores its data, then checks `parked`. A seq_cst fence on
 // both sides keeps those two store-then-load sequences from
-// reordering past each other (Dekker-style); the bounded wait_for is
-// belt and braces on top.
+// reordering past each other (Dekker-style). The consumer holds the
+// mutex from its re-check until the wait releases it, and a producer
+// that saw `parked` takes that mutex before notifying, so a notify
+// cannot fall between the re-check and the wait; the bounded wait_for
+// is belt and braces on top.
 #pragma once
 
 #include <atomic>
@@ -59,23 +62,23 @@ class Parker {
       std::this_thread::yield();
     }
     for (;;) {
-      parked_.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (has_data()) {
-        parked_.store(false, std::memory_order_relaxed);
-        return true;
-      }
-      if (stop()) {
-        parked_.store(false, std::memory_order_relaxed);
-        return false;
-      }
       {
         std::unique_lock<std::mutex> lk(mutex_);
+        parked_.store(true, std::memory_order_relaxed);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        if (has_data()) {
+          parked_.store(false, std::memory_order_relaxed);
+          return true;
+        }
+        if (stop()) {
+          parked_.store(false, std::memory_order_relaxed);
+          return false;
+        }
         // Plain timed wait: a notify or a spurious wakeup simply falls
         // through to the re-check below.
         cv_.wait_for(lk, policy.park_slice);
+        parked_.store(false, std::memory_order_relaxed);
       }
-      parked_.store(false, std::memory_order_relaxed);
       if (has_data()) return true;
       if (stop()) return false;
     }
@@ -89,8 +92,10 @@ class Parker {
   void notify() {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (parked_.load(std::memory_order_relaxed)) {
-      // Empty critical section: serializes with the waiter between its
-      // predicate re-check and its wait, closing the wakeup race.
+      // Empty critical section: the waiter holds the mutex from its
+      // predicate re-check until its wait releases it, so this notify
+      // lands either before the re-check (which then sees the data) or
+      // inside the wait.
       { std::lock_guard<std::mutex> lk(mutex_); }
       cv_.notify_one();
     }

@@ -14,9 +14,11 @@ Runtime::Runtime(const core::Program& program, RuntimeOptions options)
   validate_options(options_, "Runtime", "num_kernels");
 }
 
+Runtime::~Runtime() = default;
+
 RuntimeStats Runtime::run() {
   ++runs_;
-  RunFrame frame(program_, options_);
+  RunFrame frame(program_, options_, std::move(trace_log_));
 
   // Kernel k runs on CPU k and emulator g on CPU num_kernels + g: the
   // frame's role numbering is exactly that order.
@@ -32,7 +34,10 @@ RuntimeStats Runtime::run() {
   for (std::thread& t : threads) t.join();
   const auto t1 = std::chrono::steady_clock::now();
 
-  if (options_.trace != nullptr) frame.fill_trace(*options_.trace);
+  if (options_.trace != nullptr) {
+    frame.fill_trace(*options_.trace);
+    trace_log_ = frame.release_trace_log();
+  }
   RuntimeStats stats =
       frame.stats(std::chrono::duration<double>(t1 - t0).count());
   stats.epoch = runs_;

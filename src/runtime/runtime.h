@@ -6,8 +6,9 @@
 // RuntimeOptions is the one configuration of a run, and RunFrame
 // (runtime/frame.h) is the one place that builds a run from it: SM,
 // TUB, mailboxes, trace lanes, guard, emulators and kernels. Runtime
-// owns nothing of a run itself; each run() builds a frame, spawns a
-// thread per role, joins them and collects the frame's stats. The
+// owns nothing of a run itself but the trace lanes, which it hands
+// from one traced frame to the next; each run() builds a frame, spawns
+// a thread per role, joins them and collects the frame's stats. The
 // resident Executor (runtime/executor.h) builds the same frame per
 // request from an embedded RuntimeOptions.
 //
@@ -21,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/ddmtrace.h"
@@ -146,12 +148,15 @@ class Runtime {
  public:
   /// Throws core::TFluxError on an out-of-range configuration.
   Runtime(const core::Program& program, RuntimeOptions options);
+  ~Runtime();
 
   /// Execute the program to completion. May be called repeatedly (one
   /// run at a time): every invocation builds a fresh RunFrame (SM
   /// generations, TUBs, mailboxes, the data plane's execution record)
   /// and fresh actor threads, so runs are independent and the returned
   /// stats cover exactly one run (RuntimeStats::epoch numbers them).
+  /// Only the trace lanes outlive a run: the first traced run builds
+  /// the TraceLog and each later one rewinds it, keeping its chunks.
   /// The data plane's static tables are the Program's, built by the
   /// first run that needs them (Program::dataplane_tables). Callers
   /// re-running a program whose DThreads consume their own outputs
@@ -166,6 +171,9 @@ class Runtime {
   const core::Program& program_;
   RuntimeOptions options_;
   std::uint64_t runs_ = 0;
+  /// The previous traced run's lanes (null before the first one, and
+  /// after a run that threw: its frame took the log down with it).
+  std::unique_ptr<TraceLog> trace_log_;
 };
 
 }  // namespace tflux::runtime

@@ -1,6 +1,7 @@
 #include "runtime/trace_log.h"
 
-#include <chrono>
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 
@@ -9,26 +10,41 @@ namespace tflux::runtime {
 namespace {
 
 // The armed TraceLog (at most one per process: one Runtime::run traces
-// at a time). The mutex orders arm/disarm against the atexit hook -
-// exit() can fire on any thread while a run is still tearing down.
+// at a time). The mutex orders arm/disarm, the mid-run dump and the
+// atexit hook - exit() can fire on any thread while a run is still
+// tearing down.
 std::mutex g_armed_mutex;
 TraceLog* g_armed = nullptr;
 
 }  // namespace
 
-TraceLog::TraceLog(std::uint16_t num_kernels, std::uint16_t num_groups,
-                   std::size_t lane_capacity)
-    : num_kernels_(num_kernels) {
-  const std::size_t lanes =
-      static_cast<std::size_t>(num_kernels) + num_groups;
-  lanes_.reserve(lanes);
-  drained_.resize(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    lanes_.push_back(
-        std::make_unique<SpscRing<core::TraceRecord>>(lane_capacity));
+TraceLog::Lane::~Lane() {
+  for (std::size_t i = 0; i < kMaxChunks; ++i) {
+    if (chunks[i] != nullptr) {
+      std::allocator<core::TraceRecord>().deallocate(chunks[i],
+                                                     chunk_capacity(i));
+    }
   }
-  flusher_ = std::thread([this] { flush_loop(); });
 }
+
+void TraceLog::Lane::open_next_chunk() {
+  if (chunk == kMaxChunks) {
+    std::fputs("TraceLog: lane exceeds its chunk directory\n", stderr);
+    std::abort();
+  }
+  if (chunks[chunk] == nullptr) {
+    chunks[chunk] =
+        std::allocator<core::TraceRecord>().allocate(chunk_capacity(chunk));
+  }
+  next = chunks[chunk];
+  end = next + chunk_capacity(chunk);
+  ++chunk;
+}
+
+TraceLog::TraceLog(std::uint16_t num_kernels, std::uint16_t num_groups)
+    : num_kernels_(num_kernels),
+      num_lanes_(static_cast<std::size_t>(num_kernels) + num_groups),
+      lanes_(new Lane[num_lanes_]) {}
 
 TraceLog::~TraceLog() {
   bool armed = false;
@@ -39,13 +55,21 @@ TraceLog::~TraceLog() {
       armed = true;
     }
   }
-  if (!finished_ && armed) {
-    // Destroyed without finish(): an exception is unwinding through
-    // the owning Runtime::run. Persist what the lanes hold.
-    emergency_flush();
-    return;
+  // Destroyed armed and unfinished: an exception is unwinding through
+  // the frame's owner. Persist what the lanes hold.
+  if (armed && !finished_) emergency_flush();
+}
+
+void TraceLog::rewind() {
+  for (std::size_t i = 0; i < num_lanes_; ++i) {
+    Lane& l = lanes_[i];
+    l.published.store(0, std::memory_order_relaxed);
+    l.clock = 0;
+    l.next = l.end = nullptr;
+    l.chunk = 0;
+    l.count.store(0, std::memory_order_relaxed);
   }
-  if (!finished_) finish();
+  finished_ = false;
 }
 
 void TraceLog::arm_emergency(
@@ -60,8 +84,8 @@ void TraceLog::arm_emergency(
 void TraceLog::atexit_hook() {
   // exit() mid-run: flush the armed TraceLog so the on-disk trace says
   // "truncated" instead of ending silently short. Worker threads may
-  // still be producing; the drained prefix is whatever made it into
-  // the lanes, which is exactly what a truncated trace promises.
+  // still be recording; the flush takes each lane's published prefix,
+  // which is exactly what a truncated trace promises.
   std::lock_guard<std::mutex> lock(g_armed_mutex);
   if (g_armed) {
     TraceLog* log = g_armed;
@@ -73,105 +97,78 @@ void TraceLog::atexit_hook() {
 void TraceLog::emergency_flush() {
   if (finished_) return;
   finished_ = true;
-  stop_flusher();
-  drain_all();
-  if (emergency_writer_) emergency_writer_(merged());
-  drained_.clear();
+  if (emergency_writer_) emergency_writer_(merged_prefix());
 }
 
-void TraceLog::drain_all() {
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    lanes_[i]->pop_all(drained_[i]);
+void TraceLog::request_emergency_dump() {
+  // The writer runs under the arming mutex so the atexit hook cannot
+  // flush the same log into the same destination concurrently.
+  std::lock_guard<std::mutex> lock(g_armed_mutex);
+  if (g_armed == this && emergency_writer_) {
+    emergency_writer_(merged_prefix());
   }
 }
 
-std::vector<core::TraceRecord> TraceLog::merged() const {
+std::vector<core::TraceRecord> TraceLog::merged_prefix() const {
+  std::vector<core::TraceRecord> records;
+  std::vector<std::size_t> counts;
+  merge(records, counts);
+  return records;
+}
+
+void TraceLog::merge(std::vector<core::TraceRecord>& out,
+                     std::vector<std::size_t>& counts) const {
+  // Visit the first `n` records of `lane`, chunk by chunk.
+  const auto visit_prefix = [](const Lane& lane, std::size_t n,
+                                auto&& visit) {
+    for (std::size_t j = 0; n > 0; ++j) {
+      const std::size_t m = std::min(n, chunk_capacity(j));
+      for (std::size_t k = 0; k < m; ++k) visit(lane.chunks[j][k]);
+      n -= m;
+    }
+  };
+
+  // One snapshot of each lane's published prefix: the owners may keep
+  // appending (a mid-run dump), and every pass must see the same set.
+  std::vector<std::size_t> prefix(num_lanes_);
   std::size_t total = 0;
-  for (const auto& lane : drained_) total += lane.size();
-  std::vector<core::TraceRecord> out;
-  out.reserve(total);
-  // Few lanes (kernels + emulators): a linear scan for the smallest
-  // head beats a heap.
-  std::vector<std::size_t> next(drained_.size(), 0);
-  while (out.size() < total) {
-    std::size_t best = drained_.size();
-    for (std::size_t i = 0; i < drained_.size(); ++i) {
-      if (next[i] == drained_[i].size()) continue;
-      if (best == drained_.size() ||
-          drained_[i][next[i]].seq < drained_[best][next[best]].seq) {
-        best = i;
-      }
-    }
-    out.push_back(drained_[best][next[best]++]);
+  std::uint64_t max_clock = 0;
+  for (std::size_t i = 0; i < num_lanes_; ++i) {
+    prefix[i] = lanes_[i].count.load(std::memory_order_acquire);
+    total += prefix[i];
+    max_clock = std::max(
+        max_clock, lanes_[i].published.load(std::memory_order_relaxed));
   }
-  return out;
-}
 
-void TraceLog::stop_flusher() {
-  {
-    std::lock_guard<std::mutex> lock(flush_mutex_);
-    stop_ = true;
+  // Counting sort by clock (held in seq until renumbered). A lane's
+  // clocks strictly ascend, so a bucket holds at most one record per
+  // lane, and filling the lanes in order breaks ties by lane.
+  counts.assign(max_clock + 2, 0);
+  for (std::size_t i = 0; i < num_lanes_; ++i) {
+    visit_prefix(lanes_[i], prefix[i],
+                 [&](const core::TraceRecord& r) { ++counts[r.seq + 1]; });
   }
-  flush_cv_.notify_one();
-  if (flusher_.joinable()) flusher_.join();
-}
-
-void TraceLog::flush_loop() {
-  for (;;) {
-    drain_all();
-    if (dump_requested_.load(std::memory_order_acquire)) {
-      // Mid-run dump (a guard trip): hand the armed writer a merged
-      // copy of the prefix drained so far and keep collecting. The
-      // flag is cleared only when a writer was actually invoked;
-      // otherwise finish() picks it up (it captures the writer before
-      // disarming, so exactly one of the two paths runs it).
-      std::function<void(std::vector<core::TraceRecord>&&)> writer;
-      {
-        std::lock_guard<std::mutex> lock(g_armed_mutex);
-        writer = emergency_writer_;
-      }
-      if (writer) {
-        dump_requested_.store(false, std::memory_order_relaxed);
-        writer(merged());
-      }
-    }
-    // Waiting (not spinning) keeps the flusher off the workers' CPUs,
-    // and a long period keeps its wakeups from preempting workers on
-    // oversubscribed machines; 64k-deep lanes absorb several
-    // milliseconds of events even at full dispatch rate. A timed wait
-    // rather than a sleep: stop_flusher() ends it at once, so joining
-    // the flusher never waits out the period.
-    std::unique_lock<std::mutex> lock(flush_mutex_);
-    if (flush_cv_.wait_for(lock, std::chrono::milliseconds(4),
-                           [this] { return stop_; })) {
-      return;
-    }
+  for (std::size_t c = 1; c < counts.size(); ++c) counts[c] += counts[c - 1];
+  out.resize(total);
+  for (std::size_t i = 0; i < num_lanes_; ++i) {
+    visit_prefix(lanes_[i], prefix[i], [&](const core::TraceRecord& r) {
+      const std::size_t slot = counts[r.seq]++;
+      out[slot] = r;
+      out[slot].seq = slot;
+    });
   }
 }
 
-std::vector<core::TraceRecord> TraceLog::finish() {
-  std::function<void(std::vector<core::TraceRecord>&&)> writer;
+void TraceLog::finish(std::vector<core::TraceRecord>& out) {
   {
     // Normal completion disarms the emergency path first, so neither
-    // the atexit hook nor the destructor flushes a finished log. The
-    // writer is kept in hand: a dump request the flusher has not
-    // served yet (it sees the writer already gone and leaves the flag
-    // set) is honored below, deterministically, before returning.
+    // the atexit hook nor the destructor flushes a finished log.
     std::lock_guard<std::mutex> lock(g_armed_mutex);
     if (g_armed == this) g_armed = nullptr;
-    writer = std::move(emergency_writer_);
     emergency_writer_ = nullptr;
   }
-  stop_flusher();
-  drain_all();
-  std::vector<core::TraceRecord> records = merged();
-  drained_.clear();
-  if (dump_requested_.exchange(false, std::memory_order_acq_rel) &&
-      writer) {
-    writer(std::vector<core::TraceRecord>(records));
-  }
+  merge(out, counts_);
   finished_ = true;
-  return records;
 }
 
 }  // namespace tflux::runtime

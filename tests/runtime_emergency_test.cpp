@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/builder.h"
 #include "core/check.h"
@@ -51,6 +52,15 @@ core::Program make_two_block_program(bool exit_in_second_block) {
   return builder.build(options);
 }
 
+/// One block holding one DThread (plus its Inlet and Outlet).
+core::Program make_one_thread_program() {
+  core::ProgramBuilder builder("emergency");
+  builder.add_thread(builder.add_block(), "a0", {});
+  core::BuildOptions options;
+  options.num_kernels = 1;
+  return builder.build(options);
+}
+
 TEST(RuntimeEmergencyTest, ExceptionUnwindingRunPersistsTruncatedTrace) {
   // Arm a run that throws after the TraceLog exists (fault injection
   // without --guard=full is rejected inside run()); the unwind must
@@ -78,6 +88,65 @@ TEST(RuntimeEmergencyTest, ExceptionUnwindingRunPersistsTruncatedTrace) {
   const core::CheckReport report = core::check_trace(program, dumped);
   ASSERT_EQ(report.findings.size(), 1u) << report.to_string(program);
   EXPECT_EQ(report.findings[0].code, core::FindingCode::kTruncatedTrace);
+}
+
+TEST(RuntimeEmergencyTest, WarmRuntimeThatThrowsPersistsOnlyItsOwnPrefix) {
+  // A Runtime hands its trace lanes from run to run. A run that throws
+  // inside its frame must still flush them as a truncated trace of
+  // that run alone, and the next run must trace like a fresh Runtime.
+  // The frame's one throw is the fault-injection check, and it depends
+  // on the Program: the named victim must exist, so swapping in a
+  // smaller program under the Runtime makes exactly one run throw.
+  const core::Program two_blocks = make_two_block_program(false);
+  core::Program program = two_blocks;
+  core::ThreadId victim = 0;
+  while (program.thread(victim).label != "b1") ++victim;
+  core::ExecTrace trace;
+  std::vector<core::ExecTrace> dumps;
+  runtime::RuntimeOptions options;
+  options.num_kernels = 1;
+  options.trace = &trace;
+  options.trace_emergency = [&](core::ExecTrace& partial) {
+    dumps.push_back(partial);
+  };
+  options.guard.mode = core::GuardMode::kFull;
+  options.inject_fault.kind = runtime::FaultInjection::Kind::kDoublePublish;
+  options.inject_fault.victim = victim;
+  ASSERT_FALSE(program.thread(victim).consumers.empty());
+
+  runtime::Runtime rt(program, options);
+  (void)rt.run();  // warms the lanes; the guard trip dumps a prefix
+  ASSERT_FALSE(trace.truncated);
+  const std::size_t warm_records = trace.records.size();
+  ASSERT_GT(warm_records, 0u);
+  const core::CheckReport warm = core::check_trace(program, trace);
+
+  program = make_one_thread_program();
+  ASSERT_GE(victim, program.num_threads());
+  dumps.clear();
+  EXPECT_THROW((void)rt.run(), core::TFluxError);
+  ASSERT_EQ(dumps.size(), 1u);
+  EXPECT_TRUE(dumps[0].truncated);
+  EXPECT_TRUE(dumps[0].records.empty())
+      << "the warm run's records leaked into the failed run's trace";
+  const core::CheckReport failed = core::check_trace(program, dumps[0]);
+  ASSERT_EQ(failed.findings.size(), 1u) << failed.to_string(program);
+  EXPECT_EQ(failed.findings[0].code, core::FindingCode::kTruncatedTrace);
+
+  program = two_blocks;
+  (void)rt.run();
+  EXPECT_FALSE(trace.truncated);
+  ASSERT_EQ(trace.records.size(), warm_records);
+  for (std::size_t i = 0; i < trace.records.size(); ++i) {
+    ASSERT_EQ(trace.records[i].seq, i);
+  }
+  const core::CheckReport next = core::check_trace(program, trace);
+  ASSERT_EQ(next.findings.size(), warm.findings.size())
+      << next.to_string(program);
+  for (std::size_t i = 0; i < next.findings.size(); ++i) {
+    EXPECT_EQ(next.findings[i].code, warm.findings[i].code);
+    EXPECT_NE(next.findings[i].code, core::FindingCode::kTruncatedTrace);
+  }
 }
 
 TEST(RuntimeEmergencyTest, SaveLoadRoundTripKeepsTheTruncatedMark) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <iterator>
 #include <string>
@@ -76,7 +77,7 @@ TEST(SpscRingTest, BulkPushAndPopAll) {
 }
 
 TEST(SpscRingTest, RepeatedPopAllGrowsTheOutputGeometrically) {
-  // A flusher drains a few items per pass into one ever-growing vector.
+  // A consumer drains a few items per pass into one ever-growing vector.
   // Each pass must not reallocate (and copy) everything drained so far:
   // growth stays geometric, O(log n) reallocations in total.
   SpscRing<std::uint64_t> ring(16);
@@ -246,6 +247,42 @@ TEST(ParkerTest, WakesParkedWaiterOnNotify) {
   parker.notify();
   waiter.join();
   EXPECT_TRUE(woke.load());
+}
+
+TEST(ParkerTest, NotifyDuringTheLastRecheckWakesTheWaiter) {
+  // The waiter's last has_data() re-check before it blocks starts the
+  // producer and then sleeps, so the producer publishes and notifies
+  // inside the window between that re-check and the wait. The notify
+  // must end the wait, not the (long) park slice.
+  Parker parker;
+  SpinPolicy policy;
+  policy.pause_spins = 0;
+  policy.yields = 0;
+  policy.park_slice = std::chrono::seconds(2);
+  std::atomic<bool> data{false};
+  std::atomic<bool> go{false};
+  std::thread producer([&] {
+    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+    data.store(true, std::memory_order_release);
+    parker.notify();
+  });
+  bool first = true;
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool got = parker.wait(
+      [&] {
+        if (first) {
+          first = false;
+          go.store(true, std::memory_order_release);
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          return false;
+        }
+        return data.load(std::memory_order_acquire);
+      },
+      [] { return false; }, policy);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  producer.join();
+  EXPECT_TRUE(got);
+  EXPECT_LT(waited, std::chrono::milliseconds(1000));
 }
 
 TEST(ParkerTest, NotifyAlwaysWakesForStop) {

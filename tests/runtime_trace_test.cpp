@@ -2,9 +2,11 @@
 // RuntimeOptions::trace set, reconcile the record counts against the
 // runtime's own statistics, and feed every trace through the ddmcheck
 // verifier (which must come back clean - the runtime is the reference
-// implementation of its own protocol). Also: the TraceLog's lane merge
-// under concurrent producers (finish and both emergency paths), and
-// check_trace's out-of-order fallback against its in-place replay.
+// implementation of its own protocol). Also: the merged order against
+// every handoff of real runs, back-to-back traced runs on one Runtime,
+// the TraceLog's lane merge under concurrent producers (finish and
+// both emergency paths), and check_trace's out-of-order fallback
+// against its in-place replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -119,6 +121,148 @@ TEST(RuntimeTraceOffTest, NullTraceLeavesNoTrace) {
   EXPECT_TRUE(run.validate());
 }
 
+// ---------------------------------------------------------------------------
+// Merged order on real runs: the record a handoff's sender makes before
+// its publish precedes every record the receiver makes after taking it.
+// ---------------------------------------------------------------------------
+
+struct OrderConfig {
+  const char* name;
+  core::PolicyKind policy;
+  std::uint16_t groups;
+  std::uint16_t shards;
+};
+
+class RuntimeTraceOrderTest : public ::testing::TestWithParam<OrderConfig> {};
+
+TEST_P(RuntimeTraceOrderTest, MergedOrderRespectsEveryHandoff) {
+  const OrderConfig& cfg = GetParam();
+  apps::DdmParams params;
+  params.num_kernels = 4;
+  params.tsu_capacity = 64;  // several DDM Blocks
+  apps::AppRun run = apps::build_app(apps::AppKind::kTrapez,
+                                     apps::SizeClass::kSmall,
+                                     apps::Platform::kNative, params);
+  core::ExecTrace trace;
+  runtime::RuntimeOptions options;
+  options.num_kernels = params.num_kernels;
+  options.policy = cfg.policy;
+  options.tsu_groups = cfg.groups;
+  options.shards = cfg.shards;
+  options.trace = &trace;
+  (void)runtime::Runtime(run.program, options).run();
+  ASSERT_TRUE(run.validate());
+  ASSERT_GT(run.program.num_blocks(), 1u);
+
+  constexpr std::uint64_t kNone = ~std::uint64_t{0};
+  std::vector<std::uint64_t> dispatch(run.program.num_threads(), kNone);
+  std::vector<std::uint64_t> outlet_done(run.program.num_blocks(), kNone);
+  std::uint64_t completes = 0;
+  std::uint64_t updates = 0;
+  std::uint64_t activations = 0;
+  for (std::size_t i = 0; i < trace.records.size(); ++i) {
+    const core::TraceRecord& r = trace.records[i];
+    ASSERT_EQ(r.seq, i);
+    switch (r.event) {
+      case core::TraceEvent::kDispatch:
+        dispatch[r.a] = r.seq;
+        break;
+      case core::TraceEvent::kComplete:
+        // Mailbox handoff: emulator's Dispatch -> kernel's Complete.
+        ASSERT_NE(dispatch[r.a], kNone)
+            << "Complete(" << r.a << ") at seq " << r.seq
+            << " precedes its Dispatch";
+        ++completes;
+        break;
+      case core::TraceEvent::kUpdate:
+      case core::TraceEvent::kRangeUpdate: {
+        // TUB handoff: an update precedes the Dispatch of the consumer
+        // it counts down (a consumer dispatches only at zero).
+        const std::uint32_t hi =
+            r.event == core::TraceEvent::kUpdate ? r.b : r.c;
+        for (std::uint32_t c = r.b; c <= hi; ++c) {
+          ASSERT_EQ(dispatch[c], kNone)
+              << "update " << r.a << " -> " << c << " at seq " << r.seq
+              << " follows Dispatch(" << c << ") at seq " << dispatch[c];
+        }
+        ++updates;
+        break;
+      }
+      case core::TraceEvent::kOutletDone:
+        outlet_done[r.a] = r.seq;
+        break;
+      case core::TraceEvent::kBlockPromote:
+      case core::TraceEvent::kInletLoad:
+        // OutletDone(b) -> coordinator -> next block's activation on
+        // every group (directly, or through the Inlet's broadcast).
+        if (r.a > 0) {
+          ASSERT_NE(outlet_done[r.a - 1], kNone)
+              << "block " << r.a << " activated on group " << r.b
+              << " at seq " << r.seq << " before OutletDone(" << r.a - 1
+              << ")";
+        }
+        ++activations;
+        break;
+      case core::TraceEvent::kShadowDecrement:
+        break;
+    }
+  }
+  EXPECT_EQ(completes, run.program.num_threads());
+  EXPECT_GT(updates, 0u);
+  EXPECT_EQ(activations, std::uint64_t{run.program.num_blocks()} *
+                             (cfg.shards != 0 ? cfg.shards : cfg.groups));
+  const core::CheckReport report = check_trace(run.program, trace);
+  EXPECT_TRUE(report.clean()) << report.to_string(run.program);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Soft, RuntimeTraceOrderTest,
+    ::testing::Values(
+        OrderConfig{"Flat", core::PolicyKind::kLocality, 1, 0},
+        OrderConfig{"TsuGroups2", core::PolicyKind::kAdaptive, 2, 0},
+        // Backlogged shards delegate dispatches to each other: the
+        // emulator-to-emulator steal-grant handoff.
+        OrderConfig{"Shards2Hier", core::PolicyKind::kHier, 1, 2}),
+    [](const ::testing::TestParamInfo<OrderConfig>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(RuntimeTraceReuseTest, BackToBackRunsOnOneRuntimeTraceLikeAFreshOne) {
+  // One Runtime keeps its trace lanes across runs; every run must still
+  // leave a whole trace of exactly itself.
+  apps::DdmParams params;
+  params.num_kernels = 4;
+  params.unroll = 8;
+  params.tsu_capacity = 64;
+  apps::AppRun run = apps::build_app(apps::AppKind::kTrapez,
+                                     apps::SizeClass::kSmall,
+                                     apps::Platform::kNative, params);
+  runtime::RuntimeOptions options;
+  options.num_kernels = params.num_kernels;
+  core::ExecTrace fresh;
+  options.trace = &fresh;
+  (void)runtime::Runtime(run.program, options).run();
+  ASSERT_FALSE(fresh.records.empty());
+
+  core::ExecTrace trace;
+  options.trace = &trace;
+  runtime::Runtime rt(run.program, options);
+  for (int i = 0; i < 5; ++i) {
+    if (run.reset) run.reset();
+    (void)rt.run();
+    EXPECT_TRUE(run.validate());
+    ASSERT_EQ(trace.records.size(), fresh.records.size()) << "run " << i;
+    for (std::size_t j = 0; j < trace.records.size(); ++j) {
+      ASSERT_EQ(trace.records[j].seq, j) << "run " << i;
+    }
+    EXPECT_FALSE(trace.truncated);
+    const core::CheckReport report = check_trace(run.program, trace);
+    EXPECT_TRUE(report.clean()) << "run " << i << ": "
+                                << report.to_string(run.program);
+    EXPECT_EQ(report.records_checked, trace.records.size());
+  }
+}
+
 TEST(TraceLogEmergencyTest, DestructionWithoutFinishFlushesToWriter) {
   std::vector<core::TraceRecord> flushed;
   bool called = false;
@@ -146,7 +290,8 @@ TEST(TraceLogEmergencyTest, FinishDisarmsTheEmergencyWriter) {
     log.arm_emergency(
         [&](std::vector<core::TraceRecord>&&) { called = true; });
     log.record(0, core::TraceEvent::kDispatch, 3, 0);
-    (void)log.finish();
+    std::vector<core::TraceRecord> records;
+    log.finish(records);
   }
   EXPECT_FALSE(called);
 }
@@ -162,16 +307,16 @@ TEST(TraceLogEmergencyTest, EmergencyFlushIsIdempotent) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane merge: every lane is seq-ordered (one producer draws its tickets
-// in program order), so a k-way merge yields the global seq order.
+// Lane merge: each lane's clocks ascend in program order, so merging by
+// (clock, lane) keeps every lane's order; seq is renumbered 0..n-1.
 // ---------------------------------------------------------------------------
 
 constexpr std::uint16_t kMergeKernels = 3;
 constexpr std::uint16_t kMergeGroups = 2;
-constexpr std::uint32_t kPerLane = 6000;
+constexpr std::uint32_t kPerLane = 20000;
 
 /// One producer thread per lane, each recording kPerLane events whose
-/// `a` operand counts up; small lanes make the flusher drain mid-run.
+/// `a` operand counts up; the records span several chunks per lane.
 void produce_on_every_lane(runtime::TraceLog& log) {
   std::vector<std::thread> producers;
   for (std::uint16_t lane = 0; lane < kMergeKernels + kMergeGroups; ++lane) {
@@ -184,9 +329,9 @@ void produce_on_every_lane(runtime::TraceLog& log) {
   for (std::thread& t : producers) t.join();
 }
 
-/// Tickets are dense from 0, so "every record exactly once in strictly
-/// ascending seq" is seq == position; each lane's payload stays in its
-/// producer's order.
+/// seq is renumbered densely from 0, so "every record exactly once in
+/// strictly ascending seq" is seq == position; each lane's payload
+/// stays in its producer's order.
 void expect_complete_merge(const std::vector<core::TraceRecord>& records) {
   constexpr std::size_t kLanes = kMergeKernels + kMergeGroups;
   ASSERT_EQ(records.size(), kLanes * kPerLane);
@@ -199,15 +344,17 @@ void expect_complete_merge(const std::vector<core::TraceRecord>& records) {
 }
 
 TEST(TraceLogMergeTest, FinishReturnsEveryRecordOnceInSeqOrder) {
-  runtime::TraceLog log(kMergeKernels, kMergeGroups, /*lane_capacity=*/512);
+  runtime::TraceLog log(kMergeKernels, kMergeGroups);
   produce_on_every_lane(log);
-  expect_complete_merge(log.finish());
+  std::vector<core::TraceRecord> records;
+  log.finish(records);
+  expect_complete_merge(records);
 }
 
 TEST(TraceLogMergeTest, EmergencyFlushDeliversTheMergedOrder) {
   std::vector<core::TraceRecord> flushed;
   {
-    runtime::TraceLog log(kMergeKernels, kMergeGroups, 512);
+    runtime::TraceLog log(kMergeKernels, kMergeGroups);
     log.arm_emergency([&](std::vector<core::TraceRecord>&& records) {
       flushed = std::move(records);
     });
@@ -220,7 +367,7 @@ TEST(TraceLogMergeTest, EmergencyFlushDeliversTheMergedOrder) {
 TEST(TraceLogMergeTest, MidRunDumpIsAMergedSubsequenceOfTheFinalTrace) {
   std::vector<core::TraceRecord> dumped;
   bool called = false;
-  runtime::TraceLog log(kMergeKernels, kMergeGroups, 512);
+  runtime::TraceLog log(kMergeKernels, kMergeGroups);
   log.arm_emergency([&](std::vector<core::TraceRecord>&& records) {
     called = true;
     dumped = std::move(records);
@@ -231,18 +378,29 @@ TEST(TraceLogMergeTest, MidRunDumpIsAMergedSubsequenceOfTheFinalTrace) {
   });
   produce_on_every_lane(log);
   requester.join();
-  const std::vector<core::TraceRecord> records = log.finish();
+  std::vector<core::TraceRecord> records;
+  log.finish(records);
   expect_complete_merge(records);
 
-  // Served by the flusher mid-run or by finish(): either way the dump
-  // is the merge of whatever was drained, in strict seq order.
+  // The dump ran on the requester while the producers recorded: it
+  // holds a prefix of every lane, densely renumbered, and those records
+  // keep the relative order they have in the final trace.
   ASSERT_TRUE(called);
+  constexpr std::size_t kLanes = kMergeKernels + kMergeGroups;
+  std::vector<std::uint32_t> next(kLanes, 0);
+  std::size_t final_pos = 0;
   for (std::size_t i = 0; i < dumped.size(); ++i) {
-    ASSERT_LT(dumped[i].seq, records.size());
-    const core::TraceRecord& r = records[dumped[i].seq];
-    EXPECT_EQ(dumped[i].actor, r.actor);
-    EXPECT_EQ(dumped[i].a, r.a);
-    if (i > 0) ASSERT_LT(dumped[i - 1].seq, dumped[i].seq);
+    ASSERT_EQ(dumped[i].seq, i);
+    ASSERT_LT(dumped[i].actor, kLanes);
+    ASSERT_EQ(dumped[i].a, next[dumped[i].actor]++);
+    while (final_pos < records.size() &&
+           (records[final_pos].actor != dumped[i].actor ||
+            records[final_pos].a != dumped[i].a)) {
+      ++final_pos;
+    }
+    ASSERT_LT(final_pos, records.size())
+        << "dump record " << i << " is out of the final trace's order";
+    ++final_pos;
   }
 }
 
