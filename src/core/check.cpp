@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <queue>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -61,34 +62,28 @@ struct ThreadState {
   std::uint32_t updates = 0;
   std::uint32_t dispatches = 0;
   std::uint32_t completes = 0;
-  std::uint64_t dispatch_seq = CheckFinding::kNoSeq;
-  std::uint64_t complete_seq = CheckFinding::kNoSeq;
 };
 
 using ArcKey = std::pair<ThreadId, ThreadId>;
 
-/// How often each declared arc fired, in one flat array: arc i of
-/// producer p (its i-th entry in `consumers`, which ProgramBuilder
-/// keeps duplicate-free) lives at first_[p] + i.
+/// How often each declared arc fired, in one flat array indexed like
+/// the ThreadTable's consumer CSR: arc i of producer p (its i-th
+/// consumer, which ProgramBuilder keeps duplicate-free) lives at
+/// table.arc_index(p) + i.
 class ArcCounts {
  public:
-  explicit ArcCounts(const Program& program)
-      : first_(program.num_threads() + std::size_t{1}, 0) {
-    for (ThreadId t = 0; t < program.num_threads(); ++t) {
-      first_[t + 1] = first_[t] + program.thread(t).consumers.size();
-    }
-    counts_.assign(first_.back(), 0);
-  }
+  explicit ArcCounts(const ThreadTable& table)
+      : table_(table), counts_(table.num_arcs(), 0) {}
 
   std::uint32_t& at(ThreadId producer, std::size_t arc) {
-    return counts_[first_[producer] + arc];
+    return counts_[table_.arc_index(producer) + arc];
   }
   std::uint32_t at(ThreadId producer, std::size_t arc) const {
-    return counts_[first_[producer] + arc];
+    return counts_[table_.arc_index(producer) + arc];
   }
 
  private:
-  std::vector<std::size_t> first_;
+  const ThreadTable& table_;
   std::vector<std::uint32_t> counts_;
 };
 
@@ -102,9 +97,9 @@ class ArcCounts {
 /// previous-block completion - so each block's roots inherit all
 /// earlier blocks as ancestors; rc>0 threads inherit them through
 /// their producers.
-void check_races(const Program& program, const ArcCounts& fired,
-                 const CheckOptions& options, Collector& out,
-                 CheckReport& report) {
+void check_races(const Program& program, const ThreadTable& table,
+                 const ArcCounts& fired, const CheckOptions& options,
+                 Collector& out, CheckReport& report) {
   const std::uint32_t n = program.num_app_threads();
   if (n < 2) return;
   if (options.race_check_max_threads != 0 &&
@@ -117,7 +112,7 @@ void check_races(const Program& program, const ArcCounts& fired,
   // footprint and are skipped).
   std::vector<std::vector<ThreadId>> preds(n);
   for (ThreadId p = 0; p < n; ++p) {
-    const std::vector<ThreadId>& consumers = program.thread(p).consumers;
+    const std::span<const ThreadId> consumers = table.consumers(p);
     for (std::size_t i = 0; i < consumers.size(); ++i) {
       if (fired.at(p, i) != 0 && consumers[i] < n) {
         preds[consumers[i]].push_back(p);
@@ -139,7 +134,7 @@ void check_races(const Program& program, const ArcCounts& fired,
     std::map<ThreadId, std::uint32_t> indeg;
     for (ThreadId tid : blk.app_threads) indeg[tid] = 0;
     for (ThreadId tid : blk.app_threads) {
-      for (ThreadId c : program.thread(tid).consumers) {
+      for (ThreadId c : table.consumers(tid)) {
         auto it = indeg.find(c);
         if (it != indeg.end()) ++it->second;
       }
@@ -153,7 +148,7 @@ void check_races(const Program& program, const ArcCounts& fired,
       const ThreadId u = zero.front();
       zero.pop();
       order.push_back(u);
-      for (ThreadId c : program.thread(u).consumers) {
+      for (ThreadId c : table.consumers(u)) {
         auto it = indeg.find(c);
         if (it != indeg.end() && --it->second == 0) zero.push(c);
       }
@@ -170,7 +165,7 @@ void check_races(const Program& program, const ArcCounts& fired,
 
     for (ThreadId t : order) {
       std::uint64_t* row = &anc[static_cast<std::size_t>(t) * words];
-      if (program.thread(t).ready_count_init == 0 && blk.id > 0) {
+      if (table.ready_count_init(t) == 0 && blk.id > 0) {
         for (std::uint32_t w = 0; w < words; ++w) row[w] |= prior[w];
       }
       for (ThreadId p : preds[t]) {
@@ -230,9 +225,8 @@ void check_races(const Program& program, const ArcCounts& fired,
              "them): the executions raced";
       const ThreadId first = key.first;
       const ThreadId second = key.second;
-      out.add(CheckDiag::kFootprintRace, first, second,
-              program.thread(first).block, CheckFinding::kNoSeq,
-              msg.str());
+      out.add(CheckDiag::kFootprintRace, first, second, table.block(first),
+              CheckFinding::kNoSeq, msg.str());
     }
   }
 }
@@ -287,10 +281,11 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
     records = &sorted;
   }
 
+  const ThreadTable& table = program.thread_table();
   const std::uint32_t n_threads = program.num_threads();
   const std::uint32_t n_blocks = program.num_blocks();
   std::vector<ThreadState> st(n_threads);
-  ArcCounts fired(program);
+  ArcCounts fired(table);
   std::vector<std::uint64_t> outlet_done_seq(n_blocks,
                                              CheckFinding::kNoSeq);
   std::uint32_t outlet_done_next = 0;
@@ -321,21 +316,21 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
   // expands to).
   auto apply_update = [&](ThreadId producer, ThreadId consumer,
                           std::uint64_t seq) {
-    const DThread& p = program.thread(producer);
-    const DThread& c = program.thread(consumer);
-    const auto arc =
-        std::find(p.consumers.begin(), p.consumers.end(), consumer);
-    if (arc == p.consumers.end()) {
-      out.add(CheckDiag::kUndeclaredArc, producer, consumer, p.block, seq,
+    const std::span<const ThreadId> consumers = table.consumers(producer);
+    const BlockId consumer_block = table.block(consumer);
+    const auto arc = std::find(consumers.begin(), consumers.end(), consumer);
+    if (arc == consumers.end()) {
+      out.add(CheckDiag::kUndeclaredArc, producer, consumer,
+              table.block(producer), seq,
               "update " + thread_ref(program, producer) + " -> " +
                   thread_ref(program, consumer) +
                   " travels along no declared Synchronization Graph "
                   "arc");
     } else {
-      std::uint32_t& count = fired.at(producer, arc - p.consumers.begin());
+      std::uint32_t& count = fired.at(producer, arc - consumers.begin());
       if (++count == 2) {
-        out.add(CheckDiag::kDuplicateUpdate, producer, consumer, p.block,
-                seq,
+        out.add(CheckDiag::kDuplicateUpdate, producer, consumer,
+                table.block(producer), seq,
                 "arc " + thread_ref(program, producer) + " -> " +
                     thread_ref(program, consumer) +
                     " fired more than once; one completion must "
@@ -347,24 +342,26 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
     // OutletDone(b) (the producer's completion feeds the Outlet's
     // Ready Count). Landing afterwards is the stale-generation bug
     // class - the decrement would hit a reloaded SM generation.
-    if (c.is_application() && c.block < n_blocks &&
-        outlet_done_seq[c.block] != CheckFinding::kNoSeq) {
-      out.add(CheckDiag::kBlockLifecycle, consumer, producer, c.block, seq,
+    if (table.is_application(consumer) && consumer_block < n_blocks &&
+        outlet_done_seq[consumer_block] != CheckFinding::kNoSeq) {
+      out.add(CheckDiag::kBlockLifecycle, consumer, producer, consumer_block,
+              seq,
               "update " + thread_ref(program, producer) + " -> " +
                   thread_ref(program, consumer) + " landed on block " +
-                  std::to_string(c.block) + " after its OutletDone (seq " +
-                  std::to_string(outlet_done_seq[c.block]) +
+                  std::to_string(consumer_block) +
+                  " after its OutletDone (seq " +
+                  std::to_string(outlet_done_seq[consumer_block]) +
                   "); the block was already retired");
     }
     ThreadState& s = st[consumer];
     ++s.updates;
-    if (s.updates == c.ready_count_init + 1) {
+    if (s.updates == table.ready_count_init(consumer) + 1) {
       out.add(CheckDiag::kNegativeReadyCount, consumer, kInvalidThread,
-              c.block, seq,
+              consumer_block, seq,
               thread_ref(program, consumer) + " received " +
                   std::to_string(s.updates) +
                   " update(s) against an initial Ready Count of " +
-                  std::to_string(c.ready_count_init) +
+                  std::to_string(table.ready_count_init(consumer)) +
                   "; the count went negative");
     }
   };
@@ -405,7 +402,7 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
         }
         if (r.c < r.b) {
           out.add(CheckDiag::kMalformedRecord, r.a, kInvalidThread,
-                  program.thread(r.a).block, r.seq,
+                  table.block(r.a), r.seq,
                   "range-update [" + std::to_string(r.b) + ", " +
                       std::to_string(r.c) + "] has hi < lo");
           break;
@@ -423,12 +420,13 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
                       std::to_string(r.a));
           break;
         }
-        const DThread& t = program.thread(r.a);
+        const BlockId block = table.block(r.a);
+        const bool app = table.is_application(r.a);
         if (r.b < trace.kernels) {
           // Same home clamp the runtime's TKT applies: a home beyond
           // the run's kernel count folds to kernel 0.
-          const KernelId home = t.home_kernel < trace.kernels
-                                    ? t.home_kernel
+          const KernelId home = table.home_kernel(r.a) < trace.kernels
+                                    ? table.home_kernel(r.a)
                                     : KernelId{0};
           const auto target = static_cast<KernelId>(r.b);
           ++report.steals.dispatches;
@@ -439,7 +437,7 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
           } else {
             ++report.steals.remote;
           }
-          if (dataplane && t.is_application()) {
+          if (dataplane && app) {
             // Account against the record as it stood when the live run
             // dispatched, then claim ownership at the target kernel.
             const DataPlane::DispatchAccount acct =
@@ -458,20 +456,17 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
         ThreadState& s = st[r.a];
         ++s.dispatches;
         if (s.dispatches == 2) {
-          out.add(CheckDiag::kDoubleDispatch, r.a, kInvalidThread,
-                  t.block, r.seq,
+          out.add(CheckDiag::kDoubleDispatch, r.a, kInvalidThread, block,
+                  r.seq,
                   thread_ref(program, r.a) + " was dispatched twice");
-        } else if (s.dispatches == 1) {
-          s.dispatch_seq = r.seq;
-          if (s.updates < t.ready_count_init) {
-            out.add(CheckDiag::kPrematureDispatch, r.a, kInvalidThread,
-                    t.block, r.seq,
-                    thread_ref(program, r.a) + " was dispatched after " +
-                        std::to_string(s.updates) + " of " +
-                        std::to_string(t.ready_count_init) +
-                        " update(s); its Ready Count had not reached "
-                        "zero");
-          }
+        } else if (s.dispatches == 1 &&
+                   s.updates < table.ready_count_init(r.a)) {
+          out.add(CheckDiag::kPrematureDispatch, r.a, kInvalidThread, block,
+                  r.seq,
+                  thread_ref(program, r.a) + " was dispatched after " +
+                      std::to_string(s.updates) + " of " +
+                      std::to_string(table.ready_count_init(r.a)) +
+                      " update(s); its Ready Count had not reached zero");
         }
         break;
       }
@@ -483,30 +478,28 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
                       std::to_string(r.a));
           break;
         }
-        const DThread& t = program.thread(r.a);
-        if (r.b != t.block) {
-          out.add(CheckDiag::kMalformedRecord, r.a, kInvalidThread,
-                  t.block, r.seq,
+        const BlockId block = table.block(r.a);
+        const bool app = table.is_application(r.a);
+        if (r.b != block) {
+          out.add(CheckDiag::kMalformedRecord, r.a, kInvalidThread, block,
+                  r.seq,
                   "complete records block " + std::to_string(r.b) +
                       " but " + thread_ref(program, r.a) +
-                      " belongs to block " + std::to_string(t.block));
+                      " belongs to block " + std::to_string(block));
         }
         ThreadState& s = st[r.a];
         ++s.completes;
         if (s.completes == 2) {
-          out.add(CheckDiag::kDoubleExecution, r.a, kInvalidThread,
-                  t.block, r.seq,
+          out.add(CheckDiag::kDoubleExecution, r.a, kInvalidThread, block,
+                  r.seq,
                   thread_ref(program, r.a) +
                       " executed twice; DDM guarantees exactly-once "
                       "execution per DThread");
-        } else if (s.completes == 1) {
-          s.complete_seq = r.seq;
-          if (s.dispatches == 0) {
-            out.add(CheckDiag::kExecutionWithoutDispatch, r.a,
-                    kInvalidThread, t.block, r.seq,
-                    thread_ref(program, r.a) +
-                        " completed without a Dispatch record");
-          }
+        } else if (s.completes == 1 && s.dispatches == 0) {
+          out.add(CheckDiag::kExecutionWithoutDispatch, r.a, kInvalidThread,
+                  block, r.seq,
+                  thread_ref(program, r.a) +
+                      " completed without a Dispatch record");
         }
         // Application threads only: every one of them precedes its
         // block's Outlet through an update chain, so completing after
@@ -514,17 +507,16 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
         // exempt - pipelined mode moves their SM load off the critical
         // path and only keeps the body for accounting parity, so a
         // slow kernel can legitimately run one after the block retired.
-        if (t.is_application() && t.block < n_blocks &&
-            outlet_done_seq[t.block] != CheckFinding::kNoSeq) {
-          out.add(CheckDiag::kBlockLifecycle, r.a, kInvalidThread,
-                  t.block, r.seq,
+        if (app && block < n_blocks &&
+            outlet_done_seq[block] != CheckFinding::kNoSeq) {
+          out.add(CheckDiag::kBlockLifecycle, r.a, kInvalidThread, block,
+                  r.seq,
                   thread_ref(program, r.a) + " completed after block " +
-                      std::to_string(t.block) +
-                      "'s OutletDone (seq " +
-                      std::to_string(outlet_done_seq[t.block]) +
+                      std::to_string(block) + "'s OutletDone (seq " +
+                      std::to_string(outlet_done_seq[block]) +
                       "); the block was already retired");
         }
-        if (dataplane && t.is_application()) {
+        if (dataplane && app) {
           // One bulk forward per arc run, batched the way the recorded
           // run batched its updates (the trace's coalesce mode).
           for (const ForwardRun& run :
@@ -624,21 +616,21 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
   // End-of-trace: every DThread (Inlets and Outlets included) ran
   // exactly once, every declared arc fired, every block retired.
   for (ThreadId tid = 0; tid < n_threads; ++tid) {
-    const DThread& t = program.thread(tid);
     const ThreadState& s = st[tid];
     if (s.completes == 0) {
-      out.add(CheckDiag::kMissingExecution, tid, kInvalidThread, t.block,
-              CheckFinding::kNoSeq,
+      out.add(CheckDiag::kMissingExecution, tid, kInvalidThread,
+              table.block(tid), CheckFinding::kNoSeq,
               thread_ref(program, tid) +
                   (s.dispatches == 0
                        ? " was never dispatched or executed"
                        : " was dispatched but never completed"));
     }
-    if (t.is_application() && s.completes > 0) {
-      for (std::size_t i = 0; i < t.consumers.size(); ++i) {
-        const ThreadId c = t.consumers[i];
+    if (table.is_application(tid) && s.completes > 0) {
+      const std::span<const ThreadId> consumers = table.consumers(tid);
+      for (std::size_t i = 0; i < consumers.size(); ++i) {
+        const ThreadId c = consumers[i];
         if (fired.at(tid, i) == 0) {
-          out.add(CheckDiag::kMissingUpdate, tid, c, t.block,
+          out.add(CheckDiag::kMissingUpdate, tid, c, table.block(tid),
                   CheckFinding::kNoSeq,
                   "declared arc " + thread_ref(program, tid) + " -> " +
                       thread_ref(program, c) +
@@ -662,7 +654,7 @@ CheckReport check_trace(const Program& program, const ExecTrace& trace,
       // No room left for race findings: the pass would only drop them.
       report.truncated = true;
     } else {
-      check_races(program, fired, options, out, report);
+      check_races(program, table, fired, options, out, report);
     }
   }
   return report;

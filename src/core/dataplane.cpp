@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 namespace tflux::core {
@@ -28,16 +27,38 @@ std::uint64_t footprint_overlap_bytes(const Footprint& producer,
   return total;
 }
 
-DataPlaneTables::DataPlaneTables(const Program& program)
-    : contributions_(program.num_threads()),
-      forwards_(program.num_threads()),
-      unit_forwards_(program.num_threads()) {
+namespace {
+
+/// Rows built in emission order: (row, item) pairs in any row order.
+template <typename T>
+using RowItems = std::vector<std::pair<ThreadId, T>>;
+
+/// Stable counting sort of `items` into `rows` rows: each row keeps its
+/// items in emission order.
+template <typename T>
+CsrRows<T> to_csr(std::uint32_t rows, const RowItems<T>& items) {
+  CsrRows<T> csr;
+  csr.off.assign(std::size_t{rows} + 1, 0);
+  for (const auto& [row, item] : items) ++csr.off[row + 1];
+  for (std::uint32_t r = 0; r < rows; ++r) csr.off[r + 1] += csr.off[r];
+  csr.flat.resize(items.size());
+  std::vector<std::uint32_t> fill(csr.off.begin(), csr.off.end() - 1);
+  for (const auto& [row, item] : items) csr.flat[fill[row]++] = item;
+  return csr;
+}
+
+}  // namespace
+
+DataPlaneTables::DataPlaneTables(const Program& program) {
   auto overlap = [&program](ThreadId p, ThreadId c) -> std::uint64_t {
     const DThread& pt = program.thread(p);
     const DThread& ct = program.thread(c);
     if (!pt.is_application() || !ct.is_application()) return 0;
     return footprint_overlap_bytes(pt.footprint, ct.footprint);
   };
+  RowItems<Contribution> contributions;
+  RowItems<ForwardRun> forwards;
+  RowItems<ForwardRun> unit_forwards;
 
   // Same-block arcs: consumer lists and the builder's consumer runs.
   for (const DThread& t : program.threads()) {
@@ -45,13 +66,13 @@ DataPlaneTables::DataPlaneTables(const Program& program)
     for (const DThread::ConsumerRun& run : t.consumer_runs) {
       std::uint64_t bytes = 0;
       for (ThreadId c = run.lo; c <= run.hi; ++c) bytes += overlap(t.id, c);
-      if (bytes > 0) forwards_[t.id].push_back({run.lo, run.hi, bytes});
+      if (bytes > 0) forwards.push_back({t.id, {run.lo, run.hi, bytes}});
     }
     for (ThreadId c : t.consumers) {
       const std::uint64_t b = overlap(t.id, c);
       if (b == 0) continue;
-      contributions_[c].push_back({t.id, b});
-      unit_forwards_[t.id].push_back({c, c, b});
+      contributions.push_back({c, {t.id, b}});
+      unit_forwards.push_back({t.id, {c, c, b}});
     }
   }
 
@@ -59,21 +80,27 @@ DataPlaneTables::DataPlaneTables(const Program& program)
   // data they imply still moves; batch them like the same-block runs:
   // maximal consecutive-id runs, split at consumer block boundaries
   // (a forward never spans two block activations).
-  std::vector<std::vector<ThreadId>> xconsumers(program.num_threads());
-  for (const CrossBlockArc& arc : program.cross_block_arcs()) {
-    xconsumers[arc.producer].push_back(arc.consumer);
-  }
-  for (ThreadId p = 0; p < program.num_threads(); ++p) {
-    std::vector<ThreadId>& cs = xconsumers[p];
-    if (cs.empty()) continue;
-    std::sort(cs.begin(), cs.end());
-    cs.erase(std::unique(cs.begin(), cs.end()), cs.end());
-    std::vector<std::uint64_t> bytes(cs.size(), 0);
+  std::vector<CrossBlockArc> xarcs = program.cross_block_arcs();
+  std::sort(xarcs.begin(), xarcs.end(),
+            [](const CrossBlockArc& a, const CrossBlockArc& b) {
+              return a.producer != b.producer ? a.producer < b.producer
+                                              : a.consumer < b.consumer;
+            });
+  xarcs.erase(std::unique(xarcs.begin(), xarcs.end()), xarcs.end());
+  std::vector<ThreadId> cs;
+  std::vector<std::uint64_t> bytes;
+  for (std::size_t first = 0; first < xarcs.size();) {
+    const ThreadId p = xarcs[first].producer;
+    cs.clear();
+    for (; first < xarcs.size() && xarcs[first].producer == p; ++first) {
+      cs.push_back(xarcs[first].consumer);
+    }
+    bytes.assign(cs.size(), 0);
     for (std::size_t i = 0; i < cs.size(); ++i) {
       bytes[i] = overlap(p, cs[i]);
       if (bytes[i] == 0) continue;
-      contributions_[cs[i]].push_back({p, bytes[i]});
-      unit_forwards_[p].push_back({cs[i], cs[i], bytes[i]});
+      contributions.push_back({cs[i], {p, bytes[i]}});
+      unit_forwards.push_back({p, {cs[i], cs[i], bytes[i]}});
     }
     std::size_t i = 0;
     while (i < cs.size()) {
@@ -84,20 +111,13 @@ DataPlaneTables::DataPlaneTables(const Program& program)
         ++j;
         run_bytes += bytes[j];
       }
-      if (run_bytes > 0) forwards_[p].push_back({cs[i], cs[j], run_bytes});
+      if (run_bytes > 0) forwards.push_back({p, {cs[i], cs[j], run_bytes}});
       i = j + 1;
     }
   }
-}
-
-const DataPlaneTables& Program::dataplane_tables() const {
-  // Programs are immutable after ProgramBuilder, so the tables never go
-  // stale; the lock makes concurrent first users build them once.
-  std::lock_guard<std::mutex> lock(tables_cache_.mutex);
-  if (!tables_cache_.tables) {
-    tables_cache_.tables = std::make_shared<const DataPlaneTables>(*this);
-  }
-  return *tables_cache_.tables;
+  contributions_ = to_csr(program.num_threads(), contributions);
+  forwards_ = to_csr(program.num_threads(), forwards);
+  unit_forwards_ = to_csr(program.num_threads(), unit_forwards);
 }
 
 DataPlane::DataPlane(const Program& program, const ShardMap* shards)
@@ -121,7 +141,7 @@ namespace {
 /// full per-kernel array reset).
 using WarmList = std::vector<std::pair<KernelId, std::uint64_t>>;
 
-void collect_warm(const std::vector<Contribution>& contribs,
+void collect_warm(std::span<const Contribution> contribs,
                   const std::atomic<KernelId>* exec, WarmList& touched) {
   touched.clear();
   for (const Contribution& c : contribs) {
@@ -142,8 +162,11 @@ void collect_warm(const std::vector<Contribution>& contribs,
 }  // namespace
 
 AffinityScore DataPlane::score(ThreadId consumer) const {
+  const std::span<const Contribution> contribs =
+      tables_.contributions(consumer);
+  if (contribs.empty()) return {};  // no input bytes: cold
   static thread_local WarmList touched;
-  collect_warm(tables_.contributions(consumer), exec_kernel_.get(), touched);
+  collect_warm(contribs, exec_kernel_.get(), touched);
   AffinityScore s;
   for (const auto& [k, b] : touched) {
     s.total_bytes += b;
@@ -157,9 +180,15 @@ AffinityScore DataPlane::score(ThreadId consumer) const {
 
 DataPlane::DispatchAccount DataPlane::account_dispatch(ThreadId consumer,
                                                        KernelId target) const {
-  static thread_local WarmList touched;
-  collect_warm(tables_.contributions(consumer), exec_kernel_.get(), touched);
+  const std::span<const Contribution> contribs =
+      tables_.contributions(consumer);
   DispatchAccount account;
+  if (contribs.empty()) {  // no input bytes: cold
+    account.cold = true;
+    return account;
+  }
+  static thread_local WarmList touched;
+  collect_warm(contribs, exec_kernel_.get(), touched);
   std::uint64_t target_bytes = 0;
   std::uint64_t max_bytes = 0;
   std::uint64_t total = 0;

@@ -12,7 +12,10 @@
 //     bulk-forwarding batch boundaries, one forward per run instead of
 //     one per consumer. The tables depend only on the Program, so they
 //     are built once, on first use, and shared by every run of it
-//     (Program::dataplane_tables);
+//     (Program::dataplane_tables). Each table is compressed rows (CSR,
+//     core/program.h): one flat array plus per-thread offsets, so a
+//     lookup is two loads and a 131k-DThread program costs three
+//     allocations, not one vector per thread;
 //   - DataPlane (dynamic, one per run): the execution record of which
 //     kernel executed each producer (the owner of that producer's
 //     written ranges), so dispatch can score a consumer's warm bytes
@@ -33,6 +36,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/program.h"
@@ -85,7 +89,7 @@ class DataPlaneTables {
   /// Producers feeding `consumer` (same-block and cross-block arcs),
   /// with per-arc payload bytes. Arcs whose footprints do not overlap
   /// (or overlap only through zero-byte ranges) are omitted.
-  const std::vector<Contribution>& contributions(ThreadId consumer) const {
+  std::span<const Contribution> contributions(ThreadId consumer) const {
     return contributions_[consumer];
   }
 
@@ -93,15 +97,15 @@ class DataPlaneTables {
   /// the batch boundaries: true reuses the [lo, hi] consumer runs (one
   /// forward per run), false degrades to one forward per consumer
   /// (the unit-update ablation). Zero-payload runs are already gone.
-  const std::vector<ForwardRun>& forward_runs(ThreadId producer,
-                                              bool coalesce) const {
+  std::span<const ForwardRun> forward_runs(ThreadId producer,
+                                           bool coalesce) const {
     return coalesce ? forwards_[producer] : unit_forwards_[producer];
   }
 
  private:
-  std::vector<std::vector<Contribution>> contributions_;
-  std::vector<std::vector<ForwardRun>> forwards_;       // coalesced
-  std::vector<std::vector<ForwardRun>> unit_forwards_;  // per-consumer
+  CsrRows<Contribution> contributions_;  // by consumer
+  CsrRows<ForwardRun> forwards_;         // by producer, coalesced
+  CsrRows<ForwardRun> unit_forwards_;    // by producer, per-consumer
 };
 
 /// The per-run half: one execution record over a Program's shared

@@ -81,20 +81,14 @@ std::string GuardViolation::to_string(const Program& program) const {
 Guard::Guard(const Program& program, const GuardOptions& options,
              std::uint16_t num_kernels, std::uint16_t num_groups)
     : program_(program),
+      table_(program.thread_table()),
       options_(options),
       num_kernels_(num_kernels),
       epoch_(program.num_threads()),
-      rc_init_(program.num_threads()),
-      block_of_(program.num_threads()),
       block_state_(program.num_blocks()),
       last_activation_(num_groups, kInvalidBlock),
       lanes_(static_cast<std::size_t>(num_kernels) + num_groups) {
   if (options_.sample_period == 0) options_.sample_period = 1;
-  for (ThreadId tid = 0; tid < program.num_threads(); ++tid) {
-    const DThread& t = program.thread(tid);
-    rc_init_[tid] = t.ready_count_init;
-    block_of_[tid] = t.block;
-  }
 }
 
 void Guard::trip(FindingCode code, ThreadId thread, ThreadId other,
@@ -132,7 +126,7 @@ void Guard::on_publish(ThreadId producer, ThreadId consumer,
                        std::uint16_t lane) {
   LaneCounters& lc = lanes_[lane];
   ++lc.clock;
-  const BlockId block = block_of_[consumer];
+  const BlockId block = table_.block(consumer);
   if (!sampled(block)) return;
   ++lc.checks;
   if (block_state_[block].load(std::memory_order_relaxed) ==
@@ -153,13 +147,13 @@ bool Guard::on_update_applied(ThreadId tid, std::uint16_t lane) {
   const std::uint32_t prev =
       epoch_[tid].fetch_add(1u << kSeenShift, std::memory_order_relaxed);
   const std::uint32_t seen = prev >> kSeenShift;
-  if (seen >= rc_init_[tid]) {
+  if (seen >= table_.ready_count_init(tid)) {
     trip(FindingCode::kNegativeReadyCount, tid, kInvalidThread,
-         block_of_[tid],
+         table_.block(tid),
          thread_ref(program_, tid) + " received update " +
              std::to_string(seen + 1) +
              " against an initial Ready Count of " +
-             std::to_string(rc_init_[tid]) +
+             std::to_string(table_.ready_count_init(tid)) +
              "; the count would go negative (decrement suppressed)");
     return false;
   }
@@ -176,7 +170,7 @@ void Guard::on_dispatch(ThreadId tid, bool deep, std::uint16_t lane) {
   const std::uint32_t state = prev & kStateMask;
   if (state != kPending) {
     trip(FindingCode::kDoubleDispatch, tid, kInvalidThread,
-         block_of_[tid],
+         table_.block(tid),
          thread_ref(program_, tid) +
              " was dispatched twice (epoch state was " +
              std::to_string(state) + ", expected Pending)");
@@ -185,12 +179,12 @@ void Guard::on_dispatch(ThreadId tid, bool deep, std::uint16_t lane) {
   if (deep) {
     ++lc.checks;
     const std::uint32_t seen = prev >> kSeenShift;
-    if (seen < rc_init_[tid]) {
+    if (seen < table_.ready_count_init(tid)) {
       trip(FindingCode::kPrematureDispatch, tid, kInvalidThread,
-           block_of_[tid],
+           table_.block(tid),
            thread_ref(program_, tid) + " was dispatched after " +
                std::to_string(seen) + " of " +
-               std::to_string(rc_init_[tid]) +
+               std::to_string(table_.ready_count_init(tid)) +
                " update(s); its Ready Count had not reached zero");
     }
   }
@@ -206,12 +200,12 @@ void Guard::on_execute(ThreadId tid, std::uint16_t lane) {
   const std::uint32_t state = prev & kStateMask;
   if (state == kPending) {
     trip(FindingCode::kExecutionWithoutDispatch, tid, kInvalidThread,
-         block_of_[tid],
+         table_.block(tid),
          thread_ref(program_, tid) +
              " executed without a preceding dispatch");
   } else if (state >= kExecuted) {
     trip(FindingCode::kDoubleExecution, tid, kInvalidThread,
-         block_of_[tid],
+         table_.block(tid),
          thread_ref(program_, tid) +
              " executed twice; DDM guarantees exactly-once execution");
   }

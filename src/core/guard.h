@@ -225,6 +225,7 @@ class Guard {
             BlockId block, std::string message);
 
   const Program& program_;
+  const ThreadTable& table_;  ///< initial Ready Counts and blocks
   GuardOptions options_;
   std::uint16_t num_kernels_ = 0;
 
@@ -232,8 +233,6 @@ class Guard {
   /// 2+ updates seen. Relaxed RMWs; ordering comes from the runtime's
   /// handoffs (header comment).
   std::vector<std::atomic<std::uint32_t>> epoch_;
-  std::vector<std::uint32_t> rc_init_;  ///< initial Ready Counts
-  std::vector<BlockId> block_of_;
   std::vector<std::atomic<std::uint8_t>> block_state_;
   /// Last block each group activated (single writer: the group's own
   /// emulator thread).

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,19 @@
 namespace tflux::core {
 
 class DataPlaneTables;  // core/dataplane.h
+class ThreadTable;
+
+/// Compressed rows (CSR): row i is flat[off[i], off[i + 1]). One
+/// allocation per table instead of one vector per row.
+template <typename T>
+struct CsrRows {
+  std::vector<std::uint32_t> off{0};
+  std::vector<T> flat;
+
+  std::span<const T> operator[](std::size_t row) const {
+    return {flat.data() + off[row], flat.data() + off[row + 1]};
+  }
+};
 
 /// A dependency arc between two DThreads in *different* blocks. Such
 /// arcs never reach the TSU: block ordering (the Inlet/Outlet chain is
@@ -79,6 +93,10 @@ class Program {
   /// first call - from any thread - and shared by every later run.
   const DataPlaneTables& dataplane_tables() const;
 
+  /// The flat per-DThread protocol facts (ThreadTable below), built
+  /// like dataplane_tables(): on the first call, never by the builder.
+  const ThreadTable& thread_table() const;
+
  private:
   friend class ProgramBuilder;
   /// Test-only backdoor (tests/testing/program_test_peer.h): corrupts
@@ -93,19 +111,61 @@ class Program {
   std::uint32_t num_app_threads_ = 0;
   std::uint16_t max_kernels_ = 1;
 
-  /// Lazily built dataplane_tables(). A copied or assigned-to Program
-  /// drops the cache and builds its own tables on first use.
+  /// Lazily built dataplane_tables() and thread_table(). A copied or
+  /// assigned-to Program drops the cache and builds its own tables on
+  /// first use.
   struct TablesCache {
     TablesCache() = default;
     TablesCache(const TablesCache&) {}
     TablesCache& operator=(const TablesCache&) {
-      tables.reset();
+      dataplane.reset();
+      threads.reset();
       return *this;
     }
     std::mutex mutex;
-    std::shared_ptr<const DataPlaneTables> tables;
+    std::shared_ptr<const DataPlaneTables> dataplane;
+    std::shared_ptr<const ThreadTable> threads;
+    /// Tables dropped by drop_tables(), kept alive so a reference taken
+    /// before the drop never dangles.
+    std::vector<std::shared_ptr<const void>> dropped;
   };
+  /// Forget the cached tables: ProgramTestPeer hands out mutable
+  /// references, and the next user must see the mutated Program.
+  void drop_tables();
   mutable TablesCache tables_cache_;
+};
+
+/// Program-static protocol facts of every DThread in flat arrays
+/// indexed by ThreadId - what the TSU, ddmguard and ddmcheck read per
+/// event - so those paths never touch the wide DThread (label, body,
+/// footprint). The same-block consumer lists are in CSR form; arc i of
+/// producer p has the dense index arc_index(p) + i.
+class ThreadTable {
+ public:
+  explicit ThreadTable(const Program& program);
+
+  BlockId block(ThreadId tid) const { return block_[tid]; }
+  std::uint32_t ready_count_init(ThreadId tid) const {
+    return ready_count_init_[tid];
+  }
+  KernelId home_kernel(ThreadId tid) const { return home_kernel_[tid]; }
+  ThreadKind kind(ThreadId tid) const { return kind_[tid]; }
+  bool is_application(ThreadId tid) const {
+    return kind_[tid] == ThreadKind::kApplication;
+  }
+
+  std::span<const ThreadId> consumers(ThreadId tid) const {
+    return consumers_[tid];
+  }
+  std::uint32_t arc_index(ThreadId tid) const { return consumers_.off[tid]; }
+  std::size_t num_arcs() const { return consumers_.flat.size(); }
+
+ private:
+  std::vector<BlockId> block_;
+  std::vector<std::uint32_t> ready_count_init_;
+  std::vector<KernelId> home_kernel_;
+  std::vector<ThreadKind> kind_;
+  CsrRows<ThreadId> consumers_;
 };
 
 }  // namespace tflux::core

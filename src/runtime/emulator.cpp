@@ -12,6 +12,7 @@ TsuEmulator::TsuEmulator(const core::Program& program, TubGroup& tubs,
                          SyncMemoryGroup& sm,
                          std::deque<Mailbox>& mailboxes, Options options)
     : program_(program),
+      table_(program.thread_table()),
       tubs_(tubs),
       tub_(tubs.tub(options.group)),
       sm_(sm),
@@ -54,7 +55,7 @@ TsuEmulator::TsuEmulator(const core::Program& program, TubGroup& tubs,
 void TsuEmulator::account_dataplane(core::ThreadId tid,
                                     core::KernelId target) {
   if (options_.dataplane == nullptr ||
-      !program_.thread(tid).is_application()) {
+      !table_.is_application(tid)) {
     return;
   }
   const core::DataPlane::DispatchAccount account =
@@ -129,7 +130,7 @@ void TsuEmulator::dispatch(core::ThreadId tid) {
         if (best > options_.adaptive_backlog && try_delegate(tid, best)) {
           // Granted away: the receiver dispatches (and counts); the
           // partition slot is still this group's to account.
-          if (program_.thread(tid).block == my_block_ &&
+          if (table_.block(tid) == my_block_ &&
               partition_outstanding_ > 0) {
             --partition_outstanding_;
             maybe_prefetch();
@@ -154,7 +155,7 @@ void TsuEmulator::dispatch(core::ThreadId tid) {
       }
       bool placed = false;
       if (options_.dataplane != nullptr &&
-          program_.thread(tid).is_application()) {
+          table_.is_application(tid)) {
         const core::AffinityScore s = options_.dataplane->score(tid);
         if (s.total_bytes > 0 &&
             s.best < static_cast<core::KernelId>(mailboxes_.size()) &&
@@ -175,7 +176,7 @@ void TsuEmulator::dispatch(core::ThreadId tid) {
           }
         }
         if (best > options_.adaptive_backlog && try_delegate(tid, best)) {
-          if (program_.thread(tid).block == my_block_ &&
+          if (table_.block(tid) == my_block_ &&
               partition_outstanding_ > 0) {
             --partition_outstanding_;
             maybe_prefetch();
@@ -193,7 +194,7 @@ void TsuEmulator::dispatch(core::ThreadId tid) {
   }
   ++stats_.dispatches;
   if (guard_.guard != nullptr) {
-    guard_.dispatch(tid, guard_.deep(program_.thread(tid).block));
+    guard_.dispatch(tid, guard_.deep(table_.block(tid)));
   }
   if (target == home) {
     ++stats_.home_dispatches;
@@ -212,9 +213,9 @@ void TsuEmulator::dispatch(core::ThreadId tid) {
     options_.trace->record(trace_lane_, core::TraceEvent::kDispatch, tid,
                            target);
   }
-  mailboxes_[target].stage(tid);
+  stage(target, tid);
 
-  if (program_.thread(tid).block == my_block_ &&
+  if (table_.block(tid) == my_block_ &&
       partition_outstanding_ > 0) {
     --partition_outstanding_;
     maybe_prefetch();
@@ -227,7 +228,7 @@ bool TsuEmulator::try_delegate(core::ThreadId tid, std::size_t local_best) {
   // the armed victim's early-dispatch/swallow pair stays in one
   // emulator.
   if (options_.shard_map == nullptr || options_.num_groups <= 1 ||
-      fault_ != nullptr || !program_.thread(tid).is_application()) {
+      fault_ != nullptr || !table_.is_application(tid)) {
     return false;
   }
   // Least-loaded remote shard (shallowest mailbox, relaxed reads; ties
@@ -255,6 +256,7 @@ bool TsuEmulator::try_delegate(core::ThreadId tid, std::size_t local_best) {
     return false;
   }
   ++stats_.steal_remote;
+  if (options_.trace) options_.trace->publish(trace_lane_);
   // Published on this emulator's dedicated lane (kernel lanes are SPSC
   // and owned by their kernels).
   tubs_.publish_steal_grant(
@@ -271,7 +273,7 @@ void TsuEmulator::dispatch_steal_grant(core::ThreadId tid) {
   // ring's release/acquire pair orders it after the delegator's update
   // accounting.
   if (guard_.guard != nullptr) {
-    guard_.dispatch(tid, guard_.deep(program_.thread(tid).block));
+    guard_.dispatch(tid, guard_.deep(table_.block(tid)));
   }
   core::KernelId target = my_kernels_.front();
   std::size_t best = mailboxes_[target].size();
@@ -288,10 +290,18 @@ void TsuEmulator::dispatch_steal_grant(core::ThreadId tid) {
     options_.trace->record(trace_lane_, core::TraceEvent::kDispatch, tid,
                            target);
   }
-  mailboxes_[target].stage(tid);
+  stage(target, tid);
+}
+
+void TsuEmulator::stage(core::KernelId target, core::ThreadId tid) {
+  mailboxes_[target].stage(tid, [this] {
+    if (options_.trace) options_.trace->publish(trace_lane_);
+  });
 }
 
 void TsuEmulator::flush_outboxes() {
+  // One clock store covers every outbox this flush publishes.
+  if (options_.trace) options_.trace->publish(trace_lane_);
   for (core::KernelId k : my_kernels_) mailboxes_[k].flush();
 }
 
@@ -307,7 +317,7 @@ void TsuEmulator::maybe_prefetch() {
 std::size_t TsuEmulator::range_decrement(bool shadow, core::ThreadId lo,
                                          core::ThreadId hi) {
   if (guard_.guard != nullptr &&
-      guard_.deep(program_.thread(lo).block)) {
+      guard_.deep(table_.block(lo))) {
     // Deep-checked block: account every owned member before touching
     // the SM, so a surplus update (e.g. a duplicated publish) trips
     // negative-ready-count instead of underflowing a counter.
@@ -365,7 +375,7 @@ bool TsuEmulator::handle_update(const TubEntry& entry) {
   const bool range = entry.kind == TubEntry::Kind::kRangeUpdate;
   // A range never crosses DDM Blocks (consumer runs are same-block by
   // construction), so its low member locates the whole record.
-  const core::BlockId block = program_.thread(tid).block;
+  const core::BlockId block = table_.block(tid);
   if (block == my_block_) {
     if (range) {
       // Vectorized bulk decrement: one contiguous SM sweep per owned
@@ -487,7 +497,7 @@ void TsuEmulator::activate_block(core::BlockId block, bool dispatch_inlet) {
 
   if (dispatch_inlet) dispatch(blk.inlet);
   for (core::ThreadId tid : blk.app_threads) {
-    if (program_.thread(tid).ready_count_init == 0 &&
+    if (table_.ready_count_init(tid) == 0 &&
         owns_kernel(sm_.tkt(tid).kernel)) {
       dispatch(tid);
     }
@@ -574,6 +584,7 @@ void TsuEmulator::run() {
           } else {
             // Program finished: every emulator (including this one)
             // receives the shutdown through its TUB.
+            if (options_.trace) options_.trace->publish(trace_lane_);
             tubs_.broadcast_shutdown();
           }
           break;
@@ -581,7 +592,7 @@ void TsuEmulator::run() {
         case TubEntry::Kind::kShutdown: {
           // The sentinel rides behind whatever the outbox still holds.
           for (core::KernelId k : my_kernels_) {
-            mailboxes_[k].stage(core::kInvalidThread);
+            stage(k, core::kInvalidThread);
           }
           flush_outboxes();
           return;

@@ -247,8 +247,13 @@ class TsuEmulator {
   /// Stage the next block's partition in the shadow generation once
   /// the current block is nearly drained.
   void maybe_prefetch();
+  /// Stage `tid` in `target`'s outbox. With tracing on, this lane's
+  /// clock is published before any mailbox publish the stage triggers,
+  /// so the receiving kernel's receive() sees every Dispatch it takes.
+  void stage(core::KernelId target, core::ThreadId tid);
 
   const core::Program& program_;
+  const core::ThreadTable& table_;  ///< flat per-DThread protocol facts
   TubGroup& tubs_;
   TubQueue& tub_;  ///< this group's TUB (LaneTub or segmented Tub)
   SyncMemoryGroup& sm_;

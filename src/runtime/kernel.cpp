@@ -18,7 +18,9 @@ Kernel::Kernel(const core::Program& program, core::KernelId id,
 void Kernel::post_process(const core::DThread& t) {
   // Local TSU: translate the completion into TSU commands, routed to
   // the TSU Group owning each target (one group = the paper's
-  // TFluxSoft; several = the section 4.1 extension).
+  // TFluxSoft; several = the section 4.1 extension). Every branch
+  // records first and publishes its clock right before its TUB
+  // publishes, one clock store per completion.
   switch (t.kind) {
     case core::ThreadKind::kInlet:
       if (fault_ != nullptr &&
@@ -33,9 +35,11 @@ void Kernel::post_process(const core::DThread& t) {
         if (trace_) {
           trace_->record(id_, core::TraceEvent::kUpdate, fault_->victim,
                          fault_->consumer);
+          trace_->publish(id_);
         }
         tubs_.publish_update(fault_->consumer, id_, fault_->victim);
       }
+      if (trace_) trace_->publish(id_);
       tubs_.publish_load_block(t.block, id_);
       break;
     case core::ThreadKind::kOutlet:
@@ -43,6 +47,7 @@ void Kernel::post_process(const core::DThread& t) {
       // of the next block's activation.
       if (trace_) {
         trace_->record(id_, core::TraceEvent::kOutletDone, t.block, 0);
+        trace_->publish(id_);
       }
       tubs_.publish_outlet_done(t.block, id_);
       break;
@@ -78,6 +83,7 @@ void Kernel::post_process(const core::DThread& t) {
                              consumer);
             }
           }
+          trace_->publish(id_);
         }
         stats_.updates_published +=
             tubs_.publish_completion(t, id_, scratch_);

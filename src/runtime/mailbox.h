@@ -65,12 +65,15 @@ class Mailbox {
   /// Emulator side: queue a ready DThread (or kInvalidThread, the exit
   /// sentinel) in the outbox. A full outbox is published at once, and
   /// so is the first id staged since the last flush() for a Kernel
-  /// with nothing to run.
-  void stage(core::ThreadId tid) {
+  /// with nothing to run; `before_publish` runs right before either
+  /// publish (the trace clock store).
+  template <typename BeforePublish>
+  void stage(core::ThreadId tid, BeforePublish&& before_publish) {
     const std::uint32_t n = staged_.load(std::memory_order_relaxed);
     outbox_[n] = tid;
     staged_.store(n + 1, std::memory_order_relaxed);
     if (n + 1 == kMailboxBatch) {
+      before_publish();
       publish_outbox();
     } else if (n == 0 && wake_idle_ &&
                count_.load(std::memory_order_relaxed) == 0) {
@@ -79,8 +82,12 @@ class Mailbox {
       // Kernel faster than the emulator would otherwise be handed
       // every id on its own.
       wake_idle_ = false;
+      before_publish();
       publish_outbox();
     }
+  }
+  void stage(core::ThreadId tid) {
+    stage(tid, [] {});
   }
 
   /// Emulator side, at the end of each TUB drain sweep: publish

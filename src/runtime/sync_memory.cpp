@@ -9,8 +9,8 @@ namespace tflux::runtime {
 
 SyncMemoryGroup::SyncMemoryGroup(const core::Program& program,
                                  std::uint16_t num_kernels)
-    : program_(program), num_kernels_(num_kernels),
-      tkt_(program.num_threads()) {
+    : program_(program), table_(program.thread_table()),
+      num_kernels_(num_kernels), tkt_(program.num_threads()) {
   if (num_kernels == 0) {
     throw core::TFluxError("SyncMemoryGroup: num_kernels must be >= 1");
   }
@@ -22,7 +22,7 @@ SyncMemoryGroup::SyncMemoryGroup(const core::Program& program,
   // app threads then Inlet then Outlet keeps every slice sorted.
   const core::KernelId clamp = num_kernels;
   auto home_of = [&](core::ThreadId tid) {
-    core::KernelId home = program_.thread(tid).home_kernel;
+    const core::KernelId home = table_.home_kernel(tid);
     return home >= clamp ? core::KernelId{0} : home;  // fewer kernels than homes
   };
   spans_.assign(static_cast<std::size_t>(program.num_blocks()) * num_kernels,
@@ -103,7 +103,7 @@ void SyncMemoryGroup::load_block_partition(core::BlockId block,
     const Span& sp = span(block, k);
     std::uint32_t* counts = sm_data_[cur_gen_[k]].data() + sm_off_[k];
     for (std::uint32_t s = 0; s < sp.len; ++s) {
-      counts[s] = program_.thread(tids_[sp.off + s]).ready_count_init;
+      counts[s] = table_.ready_count_init(tids_[sp.off + s]);
     }
     gen_block_[k][cur_gen_[k]] = block;
   });
@@ -123,7 +123,7 @@ void SyncMemoryGroup::preload_shadow(core::BlockId block,
     const Span& sp = span(block, k);
     std::uint32_t* counts = sm_data_[shadow].data() + sm_off_[k];
     for (std::uint32_t s = 0; s < sp.len; ++s) {
-      counts[s] = program_.thread(tids_[sp.off + s]).ready_count_init;
+      counts[s] = table_.ready_count_init(tids_[sp.off + s]);
     }
     gen_block_[k][shadow] = block;
   });
@@ -143,7 +143,7 @@ SyncMemoryGroup::SmSlot SyncMemoryGroup::find_slot(
     core::ThreadId tid, std::uint64_t* search_steps) const {
   // Sequential search over the SMs - the cost Thread Indexing
   // eliminates (paper section 4.2).
-  const core::BlockId block = program_.thread(tid).block;
+  const core::BlockId block = table_.block(tid);
   for (std::uint16_t k = 0; k < num_kernels_; ++k) {
     const Span& sp = span(block, k);
     for (std::uint32_t s = 0; s < sp.len; ++s) {
@@ -162,7 +162,7 @@ bool SyncMemoryGroup::decrement_in(bool shadow, core::ThreadId tid,
                                    std::uint64_t* search_steps) {
   const SmSlot slot = use_tkt ? tkt_[tid] : find_slot(tid, search_steps);
   const std::uint8_t gen = cur_gen_[slot.kernel] ^ (shadow ? 1u : 0u);
-  assert(gen_block_[slot.kernel][gen] == program_.thread(tid).block);
+  assert(gen_block_[slot.kernel][gen] == table_.block(tid));
   std::uint32_t& count = sm_data_[gen][sm_off_[slot.kernel] + slot.slot];
   assert(count > 0);
   return --count == 0;
@@ -184,7 +184,7 @@ std::size_t SyncMemoryGroup::decrement_range_in(
   assert(lo <= hi);
   // A range never crosses DDM Blocks (consumer runs are same-block by
   // construction), so lo's block locates every member's spans.
-  const core::BlockId block = program_.thread(lo).block;
+  const core::BlockId block = table_.block(lo);
   std::size_t applied = 0;
   for_each_owned(group, groups, [&](core::KernelId k) {
     const Span& sp = span(block, k);
@@ -226,7 +226,7 @@ void SyncMemoryGroup::collect_owned(core::ThreadId lo, core::ThreadId hi,
                                     std::uint16_t groups,
                                     std::vector<core::ThreadId>& out) const {
   assert(lo <= hi);
-  const core::BlockId block = program_.thread(lo).block;
+  const core::BlockId block = table_.block(lo);
   for_each_owned(group, groups, [&](core::KernelId k) {
     const Span& sp = span(block, k);
     const auto first = tids_.begin() + sp.off;

@@ -194,6 +194,7 @@ class SyncMemoryGroup {
   }
 
   const core::Program& program_;
+  const core::ThreadTable& table_;
   std::uint16_t num_kernels_ = 0;
   /// Topology override of the k % groups ownership (null = legacy).
   const core::ShardMap* shard_map_ = nullptr;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 
 namespace tflux::runtime {
@@ -111,51 +112,87 @@ void TraceLog::request_emergency_dump() {
 
 std::vector<core::TraceRecord> TraceLog::merged_prefix() const {
   std::vector<core::TraceRecord> records;
-  std::vector<std::size_t> counts;
-  merge(records, counts);
+  merge(records);
   return records;
 }
 
-void TraceLog::merge(std::vector<core::TraceRecord>& out,
-                     std::vector<std::size_t>& counts) const {
-  // Visit the first `n` records of `lane`, chunk by chunk.
-  const auto visit_prefix = [](const Lane& lane, std::size_t n,
-                                auto&& visit) {
-    for (std::size_t j = 0; n > 0; ++j) {
-      const std::size_t m = std::min(n, chunk_capacity(j));
-      for (std::size_t k = 0; k < m; ++k) visit(lane.chunks[j][k]);
-      n -= m;
+void TraceLog::merge(std::vector<core::TraceRecord>& out) const {
+  // Read position in one lane's counted prefix; `left` counts the
+  // records in the chunks after the current one.
+  struct Cursor {
+    const Lane* lane;
+    std::size_t chunk;
+    std::size_t left;
+    const core::TraceRecord* next;
+    const core::TraceRecord* end;
+
+    void open(std::size_t j) {
+      const std::size_t m = std::min(left, chunk_capacity(j));
+      chunk = j;
+      next = lane->chunks[j];
+      end = next + m;
+      left -= m;
     }
   };
 
-  // One snapshot of each lane's published prefix: the owners may keep
-  // appending (a mid-run dump), and every pass must see the same set.
-  std::vector<std::size_t> prefix(num_lanes_);
+  // One snapshot of each lane's counted prefix: the owners may keep
+  // appending (a mid-run dump), and the merge must see a fixed set.
+  std::vector<Cursor> live;
+  live.reserve(num_lanes_);
   std::size_t total = 0;
-  std::uint64_t max_clock = 0;
   for (std::size_t i = 0; i < num_lanes_; ++i) {
-    prefix[i] = lanes_[i].count.load(std::memory_order_acquire);
-    total += prefix[i];
-    max_clock = std::max(
-        max_clock, lanes_[i].published.load(std::memory_order_relaxed));
+    const std::size_t n = lanes_[i].count.load(std::memory_order_acquire);
+    if (n == 0) continue;
+    total += n;
+    live.push_back(Cursor{&lanes_[i], 0, n, nullptr, nullptr});
+    live.back().open(0);
   }
-
-  // Counting sort by clock (held in seq until renumbered). A lane's
-  // clocks strictly ascend, so a bucket holds at most one record per
-  // lane, and filling the lanes in order breaks ties by lane.
-  counts.assign(max_clock + 2, 0);
-  for (std::size_t i = 0; i < num_lanes_; ++i) {
-    visit_prefix(lanes_[i], prefix[i],
-                 [&](const core::TraceRecord& r) { ++counts[r.seq + 1]; });
-  }
-  for (std::size_t c = 1; c < counts.size(); ++c) counts[c] += counts[c - 1];
   out.resize(total);
-  for (std::size_t i = 0; i < num_lanes_; ++i) {
-    visit_prefix(lanes_[i], prefix[i], [&](const core::TraceRecord& r) {
-      const std::size_t slot = counts[r.seq]++;
-      out[slot] = r;
-      out[slot].seq = slot;
-    });
+  core::TraceRecord* dst = out.data();
+  std::uint64_t seq = 0;
+
+  // A record's merge key packs (clock, lane) into one integer: the
+  // clock sits in seq until renumbered, lanes are 16-bit actor ids and
+  // clocks count records, far below 2^48.
+  const auto key = [](const core::TraceRecord& r) {
+    return (r.seq << 16) | r.actor;
+  };
+  // Copy `c`'s records whose key is below `bound`; false once the
+  // lane's prefix is used up.
+  const auto copy_below = [&](Cursor& c, std::uint64_t bound) {
+    for (;;) {
+      while (c.next != c.end && key(*c.next) < bound) {
+        *dst = *c.next++;
+        (dst++)->seq = seq++;
+      }
+      if (c.next != c.end) return true;
+      if (c.left == 0) return false;
+      c.open(c.chunk + 1);
+    }
+  };
+  // Each lane's keys strictly ascend, so the lane with the least head
+  // may emit its whole run up to the runner-up's head in one tight
+  // copy.
+  while (live.size() > 1) {
+    std::size_t best = 0;
+    std::uint64_t least = key(*live[0].next);
+    std::uint64_t runner_up = std::numeric_limits<std::uint64_t>::max();
+    for (std::size_t i = 1; i < live.size(); ++i) {
+      const std::uint64_t k = key(*live[i].next);
+      if (k < least) {
+        runner_up = least;
+        least = k;
+        best = i;
+      } else if (k < runner_up) {
+        runner_up = k;
+      }
+    }
+    if (!copy_below(live[best], runner_up)) {
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(best));
+    }
+  }
+  if (!live.empty()) {
+    copy_below(live.front(), std::numeric_limits<std::uint64_t>::max());
   }
 }
 
@@ -167,7 +204,7 @@ void TraceLog::finish(std::vector<core::TraceRecord>& out) {
     if (g_armed == this) g_armed = nullptr;
     emergency_writer_ = nullptr;
   }
-  merge(out, counts_);
+  merge(out);
   finished_ = true;
 }
 

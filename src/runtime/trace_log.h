@@ -5,17 +5,21 @@
 // counter another actor writes.
 //
 // Order comes from one Lamport clock per lane. record() bumps the
-// lane's clock, stamps the record with it, and stores it in the lane's
-// `published` word. Every cross-thread handoff of the runtime (TUB
-// publish -> emulator drain, mailbox publish -> kernel take) is a
-// release/acquire pair, and the receiving actor calls receive() right
-// after its acquire: its clock rises to the largest clock published by
-// the lanes that can send to it, so its next record is stamped above
-// every record made before the handoff. Sorting the records by
-// (clock, lane) therefore gives a linearization consistent with
-// happens-before, which is what the offline checker (core/check.h)
-// replays. The merge is a counting sort on the clocks; it then
-// renumbers `seq` 0..n-1, so a merged trace is dense and seq-sorted.
+// lane's clock and stamps the record with it. Every cross-thread
+// handoff of the runtime (TUB publish -> emulator drain, mailbox
+// publish -> kernel take) is a release/acquire pair: the sender calls
+// publish() before its release, which stores the lane's clock in its
+// `published` word once per handoff (not once per record), and the
+// receiving actor calls receive() right after its acquire: its clock
+// rises to the largest clock published by the lanes that can send to
+// it, so its next record is stamped above every record made before the
+// handoff. Sorting the records by (clock, lane) therefore gives a
+// linearization consistent with happens-before, which is what the
+// offline checker (core/check.h) replays. Each lane is already sorted
+// by clock, so the merge is a streaming k-way merge over the lanes'
+// chunks: it copies each lane's records in runs, writes the output
+// sequentially, and renumbers `seq` 0..n-1, so a merged trace is dense
+// and seq-sorted.
 //
 // A lane publishes its record count with a release store after each
 // record, so any thread can read a lane's published prefix while its
@@ -61,20 +65,26 @@ class TraceLog {
               std::uint32_t b, std::uint32_t c = 0) {
     Lane& l = lanes_[lane];
     if (l.next == l.end) l.open_next_chunk();
-    const std::uint64_t clock = ++l.clock;
     ::new (static_cast<void*>(l.next++))
-        core::TraceRecord{clock, event, lane, a, b, c};
-    l.published.store(clock, std::memory_order_relaxed);
+        core::TraceRecord{++l.clock, event, lane, a, b, c};
     l.count.store(l.count.load(std::memory_order_relaxed) + 1,
                   std::memory_order_release);
+  }
+
+  /// Send side of a handoff, called by actor `lane` before the release
+  /// that hands work to another actor: makes the lane's clock (that of
+  /// its latest record) visible to that actor's receive().
+  void publish(std::uint16_t lane) {
+    Lane& l = lanes_[lane];
+    l.published.store(l.clock, std::memory_order_relaxed);
   }
 
   /// Receive side of a handoff, called by actor `lane` right after the
   /// acquire that took the handed-off work: a kernel after a mailbox
   /// take (its senders are the emulators), an emulator after a TUB
   /// drain (kernels, plus the emulator lanes that carry steal grants
-  /// and the shutdown). The sender stored its clock before its release
-  /// publish, so the relaxed loads here see at least that value.
+  /// and the shutdown). The sender publish()ed its clock before its
+  /// release, so the relaxed loads here see at least that value.
   void receive(std::uint16_t lane) {
     Lane& self = lanes_[lane];
     std::uint64_t clock = self.clock;
@@ -139,9 +149,9 @@ class TraceLog {
     /// target. Owner only.
     void open_next_chunk();
 
-    /// Clock of the lane's latest record, read by receive(); stored
-    /// before `count`, so it bounds every counted record's clock. Alone
-    /// on its cache line: receivers poll it, the owner rewrites it.
+    /// The lane's clock as of its latest publish(), read by receive().
+    /// Alone on its cache line: receivers poll it, the owner rewrites
+    /// it once per handoff.
     std::atomic<std::uint64_t> published{0};
     // Owner-side state from here on.
     alignas(64) std::uint64_t clock = 0;
@@ -158,18 +168,15 @@ class TraceLog {
 
   static void atexit_hook();
 
-  /// Counting sort of every lane's published prefix by (clock, lane)
-  /// into `out`, seq renumbered; `counts` holds the buckets.
-  void merge(std::vector<core::TraceRecord>& out,
-             std::vector<std::size_t>& counts) const;
+  /// K-way merge of every lane's counted prefix by (clock, lane) into
+  /// `out`, seq renumbered 0..n-1.
+  void merge(std::vector<core::TraceRecord>& out) const;
   /// merge() into a fresh vector (the emergency paths).
   std::vector<core::TraceRecord> merged_prefix() const;
 
   std::uint16_t num_kernels_;
   std::size_t num_lanes_;
   std::unique_ptr<Lane[]> lanes_;
-  /// finish()'s counting-sort buckets, kept across runs.
-  std::vector<std::size_t> counts_;
   bool finished_ = false;
   std::function<void(std::vector<core::TraceRecord>&&)> emergency_writer_;
 };

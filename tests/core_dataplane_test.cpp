@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <thread>
 #include <vector>
 
@@ -184,8 +186,9 @@ TEST(DataPlaneTest, TablesAreBuiltOncePerProgramAndSharedByRecords) {
   // A copy is a different Program: it builds (equal) tables of its own.
   const Program copy = program;
   EXPECT_NE(&copy.dataplane_tables(), &program.dataplane_tables());
-  EXPECT_EQ(copy.dataplane_tables().forward_runs(0, true),
-            program.dataplane_tables().forward_runs(0, true));
+  EXPECT_TRUE(std::ranges::equal(
+      copy.dataplane_tables().forward_runs(0, true),
+      program.dataplane_tables().forward_runs(0, true)));
 }
 
 TEST(DataPlaneTest, ConcurrentFirstUsersShareOneBuild) {

@@ -15,6 +15,7 @@
 #include <random>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "apps/suite.h"
@@ -126,12 +127,17 @@ TEST(RuntimeTraceOffTest, NullTraceLeavesNoTrace) {
 // its publish precedes every record the receiver makes after taking it.
 // ---------------------------------------------------------------------------
 
+// gtest prints a parameter with no printer byte by byte into the test's
+// name. The name is held inline, not as a pointer, and the fields leave no
+// padding, so every printed byte, and hence the name ctest registers, is
+// the same on every build and run.
 struct OrderConfig {
-  const char* name;
+  char name[12];
   core::PolicyKind policy;
-  std::uint16_t groups;
+  std::uint8_t groups;
   std::uint16_t shards;
 };
+static_assert(std::has_unique_object_representations_v<OrderConfig>);
 
 class RuntimeTraceOrderTest : public ::testing::TestWithParam<OrderConfig> {};
 
@@ -349,6 +355,65 @@ TEST(TraceLogMergeTest, FinishReturnsEveryRecordOnceInSeqOrder) {
   std::vector<core::TraceRecord> records;
   log.finish(records);
   expect_complete_merge(records);
+}
+
+TEST(TraceLogMergeTest, EqualClocksComeOutInAscendingLaneOrder) {
+  // With no handoff between them every lane's clock counts 1, 2, ... on
+  // its own, so the k-th record of every lane carries clock k. Lanes
+  // record in descending order and unevenly, so neither arrival order
+  // nor lane length can pass for the (clock, lane) rule.
+  constexpr std::uint16_t kLanes = kMergeKernels + kMergeGroups;
+  runtime::TraceLog log(kMergeKernels, kMergeGroups);
+  for (std::uint32_t k = 1; k <= 3; ++k) {
+    for (std::uint16_t lane = kLanes; lane-- > 0;) {
+      if (k == 3 && lane % 2 == 1) continue;  // odd lanes stop at clock 2
+      log.record(lane, core::TraceEvent::kDispatch, k, lane);
+    }
+  }
+  std::vector<core::TraceRecord> records;
+  log.finish(records);
+
+  std::vector<std::pair<std::uint32_t, std::uint16_t>> expected;
+  for (std::uint32_t k = 1; k <= 3; ++k) {
+    for (std::uint16_t lane = 0; lane < kLanes; ++lane) {
+      if (k == 3 && lane % 2 == 1) continue;
+      expected.emplace_back(k, lane);
+    }
+  }
+  ASSERT_EQ(records.size(), expected.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].seq, i);
+    EXPECT_EQ(records[i].a, expected[i].first) << "position " << i;
+    EXPECT_EQ(records[i].actor, expected[i].second) << "position " << i;
+  }
+}
+
+TEST(TraceLogMergeTest, ReceivedClockOrdersTheReceiverAfterTheSender) {
+  // Emulator lane E records clocks 1..4 and publishes; kernel lane 0
+  // receives (clock 4) and records 5, 6; kernel lane 1 never receives
+  // and stays at clock 1, which ties with E's first record.
+  runtime::TraceLog log(/*num_kernels=*/2, /*num_groups=*/1);
+  const std::uint16_t emulator = log.emulator_lane(0);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    log.record(emulator, core::TraceEvent::kDispatch, i, 0);
+  }
+  log.publish(emulator);
+  log.receive(0);
+  log.record(0, core::TraceEvent::kComplete, 10, 0);
+  log.record(0, core::TraceEvent::kComplete, 11, 0);
+  log.record(1, core::TraceEvent::kComplete, 20, 0);
+  std::vector<core::TraceRecord> records;
+  log.finish(records);
+
+  const std::vector<std::pair<std::uint16_t, std::uint32_t>> expected = {
+      {1, 20}, {emulator, 0}, {emulator, 1}, {emulator, 2},
+      {emulator, 3}, {0, 10}, {0, 11}};
+  ASSERT_EQ(records.size(), expected.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].seq, i);
+    EXPECT_EQ(records[i].actor, expected[i].first) << "position " << i;
+    EXPECT_EQ(records[i].a, expected[i].second) << "position " << i;
+  }
 }
 
 TEST(TraceLogMergeTest, EmergencyFlushDeliversTheMergedOrder) {
